@@ -17,7 +17,7 @@ from repro.datasets.workloads import EFFICIENCY_PATTERNS, instantiate
 from repro.evaluation.experiments import time_cohesive, total_instances
 from repro.evaluation.reporting import ascii_chart, format_table
 
-from conftest import report
+from conftest import report, time_reference
 
 LIMITS = (100, 200, 300, 400)
 SIZES = (10, 15, 20)
@@ -84,42 +84,35 @@ def test_fig5_series(benchmark, fig5_series, efficiency_indexes):
         rounds=2, iterations=1)
 
 
-@pytest.mark.parametrize("kernel", ["flat", "object"])
-def test_fig5_kernel_point(benchmark, efficiency_indexes, kernel):
-    """The same Fig. 5 point under each evaluation kernel.
-
-    One BENCH_history.jsonl record per kernel, so the regression
-    sentinel trends — and ``bench-check`` gates — the flat path
-    against its own history while the object record keeps the
-    speedup ratio visible run over run.
-    """
+def test_fig5_kernel_point(benchmark, efficiency_indexes):
+    """One 20-keyword Fig. 5 point, the record the regression sentinel
+    trends and ``bench-check`` gates in BENCH_history.jsonl."""
     _, index = efficiency_indexes["dblp"]
     queries = _queries(index, 20, seed=20)[:3]
     benchmark.pedantic(
-        lambda: [time_cohesive(query, index, 300, kernel=kernel)
-                 for query in queries],
+        lambda: [time_cohesive(query, index, 300) for query in queries],
         rounds=2, iterations=1)
 
 
 def test_fig5_kernel_speedup(efficiency_indexes):
-    """The flat kernel's headline win on the Fig. 5 workload.
+    """The kernel's headline win on the Fig. 5 workload.
 
-    On 20-keyword queries (where the object engine's per-entry tuple
-    hashing hurts most) the flat kernel measures ≥3x in isolation;
+    On 20-keyword queries (where the reference engine's per-entry
+    tuple hashing hurts most) the kernel measures ≥3x in isolation;
     the assertion uses 2x headroom so shared-CI jitter cannot flake
     the suite, while the reported ratio records the real number.
     """
     _, index = efficiency_indexes["dblp"]
     queries = _queries(index, 20, seed=20)[:3]
-    flat = object_ = 0.0
-    # Interleave the kernels so cache warmth and CPU throttling hit
+    flat = reference = 0.0
+    # Interleave the engines so cache warmth and CPU throttling hit
     # both sides equally.
     for query in queries:
-        flat += time_cohesive(query, index, 300, kernel="flat")
-        object_ += time_cohesive(query, index, 300, kernel="object")
-    ratio = object_ / max(flat, 1e-9)
+        flat += time_cohesive(query, index, 300)
+        reference += time_reference(query, index, 300)
+    ratio = reference / max(flat, 1e-9)
     report("Figure 5 kernel speedup (dblp, 20 keywords, limit 300)",
-           f"object {object_ * 1000:.1f} ms  flat {flat * 1000:.1f} ms  "
-           f"speedup {ratio:.2f}x")
+           f"reference {reference * 1000:.1f} ms  "
+           f"kernel {flat * 1000:.1f} ms  speedup {ratio:.2f}x")
     assert ratio >= 2.0, \
-        f"flat kernel only {ratio:.2f}x faster than the object engine"
+        f"kernel only {ratio:.2f}x faster than the reference engine"

@@ -21,7 +21,7 @@ from repro.datasets.workloads import (frequent_keywords,
 from repro.evaluation.experiments import time_cohesive
 from repro.evaluation.reporting import format_table
 
-from conftest import report
+from conftest import report, time_reference
 
 CARDINALITIES = (3, 4, 5, 6, 7)
 SIZES = (10, 15, 20)
@@ -81,43 +81,35 @@ def test_fig6_cardinality_sweep(benchmark, fig6_series,
                        rounds=2, iterations=1)
 
 
-@pytest.mark.parametrize("kernel", ["flat", "object"])
-def test_fig6_kernel_point(benchmark, efficiency_indexes, kernel):
-    """The hardest Fig. 6 point (cardinality 7) under each kernel.
-
-    Both kernels land in BENCH_history.jsonl so the sentinel trends
-    them independently; ``bench-check`` gates the flat record.  The
-    non-regression assertion allows measurement slack but keeps the
-    flat kernel from ever quietly losing to the object engine here.
-    """
+def test_fig6_kernel_point(benchmark, efficiency_indexes):
+    """The hardest Fig. 6 point (cardinality 7), the record the
+    regression sentinel trends and ``bench-check`` gates in
+    BENCH_history.jsonl."""
     _, index = efficiency_indexes["dblp"]
     shape = pattern_with_max_cardinality(20, 7)
     rng = random.Random(7)
     query = shape.with_keywords(frequent_keywords(index, 20, rng))
-    benchmark.pedantic(
-        lambda: time_cohesive(query, index, 150, kernel=kernel),
-        rounds=2, iterations=1)
+    benchmark.pedantic(lambda: time_cohesive(query, index, 150),
+                       rounds=2, iterations=1)
 
 
 def test_fig6_kernel_not_slower(efficiency_indexes):
-    """Flat ≤ object on the high-cardinality Fig. 6 workload.
+    """Kernel ≤ reference engine on the high-cardinality Fig. 6
+    workload.
 
-    Cardinality-7 terms measure ~2.1–2.4x in the flat kernel's favor;
-    the assertion only demands parity-with-slack (0.8x) so CI jitter
+    Cardinality-7 terms measure ~2.1–2.4x in the kernel's favor; the
+    assertion only demands parity-with-slack (0.8x) so CI jitter
     cannot flake it, and the reported ratio records the real margin.
     """
-    from conftest import report
     _, index = efficiency_indexes["dblp"]
     shape = pattern_with_max_cardinality(20, 7)
     rng = random.Random(7)
     query = shape.with_keywords(frequent_keywords(index, 20, rng))
-    flat = sum(time_cohesive(query, index, 150, kernel="flat")
-               for _ in range(2))
-    object_ = sum(time_cohesive(query, index, 150, kernel="object")
-                  for _ in range(2))
-    ratio = object_ / max(flat, 1e-9)
+    flat = sum(time_cohesive(query, index, 150) for _ in range(2))
+    reference = sum(time_reference(query, index, 150) for _ in range(2))
+    ratio = reference / max(flat, 1e-9)
     report("Figure 6 kernel ratio (dblp, 20 keywords, cardinality 7)",
-           f"object {object_ * 1000:.1f} ms  flat {flat * 1000:.1f} ms  "
-           f"ratio {ratio:.2f}x")
+           f"reference {reference * 1000:.1f} ms  "
+           f"kernel {flat * 1000:.1f} ms  ratio {ratio:.2f}x")
     assert ratio >= 0.8, \
-        f"flat kernel regressed to {ratio:.2f}x of the object engine"
+        f"kernel regressed to {ratio:.2f}x of the reference engine"

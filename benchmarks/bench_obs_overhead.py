@@ -41,6 +41,7 @@ Timings use min-of-rounds (the standard noise-robust estimator for
 import time
 
 import repro.core.engine as engine_mod
+import repro.core.kernel as kernel_mod
 import repro.core.lattice as lattice_mod
 import repro.core.lattice_machine as machine_mod
 import repro.index.inverted as inverted_mod
@@ -55,7 +56,7 @@ from repro.evaluation.reporting import format_table
 from conftest import report
 
 #: Every module whose hot path resolves a registry via get_metrics().
-_INSTRUMENTED_MODULES = (engine_mod, lattice_mod, machine_mod,
+_INSTRUMENTED_MODULES = (engine_mod, kernel_mod, lattice_mod, machine_mod,
                          inverted_mod, session_mod)
 
 PATTERNS = ["(xx)", "(x(xx))", "((xx)(xx))"]

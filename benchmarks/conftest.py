@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -33,6 +34,9 @@ from repro.datasets import (generate_baseball, generate_dblp, generate_nasa,
 from repro.index.inverted import InvertedIndex
 from repro.obs import metrics_scope
 from repro.obs import bench as bench_history
+
+# The reference engine the kernel gates time against lives under tests/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 _REPORTS: list[tuple[str, str]] = []
 
@@ -55,6 +59,21 @@ def _history_path() -> Path | None:
     if value:
         return Path(value)
     return Path(__file__).parent / "BENCH_history.jsonl"
+
+
+def time_reference(query, index: InvertedIndex,
+                   list_limit: int | None) -> float:
+    """Seconds for one evaluation on the reference engine
+    (``tests/reference_engine.py``), compile and list slicing included
+    as in :func:`repro.evaluation.experiments.time_cohesive`."""
+    from repro.core.signatures import compile_query
+    from tests.reference_engine import evaluate_compiled
+    start = time.perf_counter()
+    compiled = compile_query(query, index.tokenizer.normalize)
+    evaluate_compiled(compiled, {
+        keyword: index.postings(keyword, limit=list_limit)
+        for keyword in compiled.atoms})
+    return time.perf_counter() - start
 
 
 def scaled(value: int) -> int:

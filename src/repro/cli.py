@@ -90,8 +90,7 @@ from repro.index.store_v2 import (inspect_index, merge_index, open_index,
 from repro.obs import (configure_logging, format_report, get_logger,
                        get_metrics, metrics_scope)
 from repro.obs.bench import DEFAULT_MIN_SECONDS, DEFAULT_THRESHOLD
-from repro.runtime import (ALGORITHMS, KERNELS, SearchOptions,
-                           SearchSession)
+from repro.runtime import ALGORITHMS, SearchOptions, SearchSession
 from repro.tree import dewey
 from repro.tree.stats import compute_statistics
 from repro.xmlio.loader import load_tree_from_path
@@ -201,12 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     search_cmd.add_argument("--max-size", type=int, default=None,
                             dest="max_size",
                             help="only results with LCA size <= N")
-    search_cmd.add_argument("--kernel", default=None,
-                            choices=list(KERNELS),
-                            help="cohesive evaluation kernel: the flat "
-                                 "packed-integer kernel (default) or "
-                                 "the reference object engine; answers "
-                                 "are byte-identical")
     search_cmd.add_argument("--witness", action="store_true",
                             help="also print a minimal matching subtree "
                                  "per result")
@@ -566,16 +559,14 @@ def _resolve_algorithm(args: argparse.Namespace) -> str:
 
 def _search_options(args: argparse.Namespace,
                     algorithm: str) -> SearchOptions:
-    kernel = {} if getattr(args, "kernel", None) is None \
-        else {"kernel": args.kernel}
     if algorithm != "cohesive":
         # Baselines / the machine ignore rank, top-k and size bounds,
         # as the pre-session CLI did.
         return SearchOptions(algorithm=algorithm,
-                             list_limit=args.list_limit, **kernel)
+                             list_limit=args.list_limit)
     return SearchOptions(rank=args.rank, top_k=args.top_k,
                          max_size=args.max_size,
-                         list_limit=args.list_limit, **kernel)
+                         list_limit=args.list_limit)
 
 
 def _run_search(args: argparse.Namespace,

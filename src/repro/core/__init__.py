@@ -6,7 +6,8 @@
   the embedding semantics of Def. 2 (the testing oracle);
 * :mod:`repro.core.lattice` — the lattice of keyword partitions and its
   cohesiveness-driven dimensionality reduction (paper §3, Figs. 2–3);
-* :mod:`repro.core.engine` — the CohesiveLCA evaluation algorithm;
+* :mod:`repro.core.kernel` — the CohesiveLCA evaluation algorithm, and
+  :mod:`repro.core.engine` its front door;
 * :mod:`repro.core.ranking` — LCA-size ranking (Def. 3) and the
   cohesive-term vector ranking (paper §2.2).
 """

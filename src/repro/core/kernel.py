@@ -1,60 +1,70 @@
-"""Flattened CohesiveLCA evaluation kernel.
+"""The CohesiveLCA evaluation kernel (paper §3).
 
-The object engine (:mod:`repro.core.engine`) walks the path stack with
-per-node ``_Entry`` objects whose tables are keyed by
-``(term_id, member_mask, usage, pure)`` tuples and valued by
-``(size, breakdown-tuple)`` pairs.  Profiling the Fig. 5/6 workloads
-shows the run time is dominated by exactly that table machinery —
-tuple hashing, tuple allocation and ``merge_breakdowns`` — not by the
-posting scan.
+The paper pushes the query keywords' inverted-list entries, in Dewey
+order, through a lattice of stacks — one stack per admissible partition
+of the query keywords.  This kernel keeps the same data flow organized
+around the *path stack*: one entry per node on the current root-to-node
+path, each holding a table ``signature → minimum partial-LCA size``
+where a signature is an admissible subset ``(term, member-mask)`` (see
+:mod:`repro.core.signatures` and DESIGN.md §5).  Popping a child entry
+merges its table into the parent entry, combining the lifted partial
+LCAs pairwise with those already accumulated at the parent — exactly
+the combinations the lattice of stacks performs, provenance-disjoint
+by construction because a child is merged exactly once.
 
-This module re-implements the same algorithm on flat integers:
+Cohesive semantics are enforced structurally: only member-masks of a
+common term combine (the reduced lattice); a term unit completed at a
+node from instances spanning several nodes is embargoed in the entry's
+``fresh`` table (Def. 2(b)(ii)) and released when it propagates; a
+unit whose occurrences all sit on one node combines at once (Def.
+2(b)(i)); repeated keywords consume per-node budget (Def. 2(a)).
+Complexity matches the paper's analysis: one pass over the inverted
+lists; per instance, O(depth) stack work; per merge, a number of
+combinations bounded by the number of admissible signatures —
+exponential only in the maximum term cardinality.
+
+The tables live on flat integers:
 
 * **Packed keys.**  A table key is one int,
-  ``((((term << mbits) | mask) << 40) | usage_id) << 1 | pure``, where
-  ``mbits`` is the query's maximum term cardinality.  The packing is
-  bijective with the engine's key tuples, so dict identity — and with
-  it insertion order, which drives tie-breaking — is preserved.
+  ``((mask << 40) | usage_id) << 1 | pure``, in a per-term table.
 * **Packed values.**  A table value is ``(size << 32) | breakdown_id``.
-  Comparisons always use ``value >> 32`` explicitly: comparing whole
-  packed values would break the engine's first-minimum-wins ties.
+  Comparisons always use ``value >> 32`` explicitly: the first write
+  of the minimum size wins a slot, whatever its breakdown.
 * **Interned breakdowns.**  Per-term size vectors are interned to small
-  ids; ``merge_breakdowns`` and term-completion become memo lookups
+  ids; ``merge_breakdowns`` and term completion become memo lookups
   keyed by packed id pairs, and merges on the child-propagation path
-  are deferred until an insert actually wins its table slot
-  (``merge_breakdowns`` is pure, so deferral cannot change any stored
-  value).
+  are deferred until an insert actually wins its table slot.
 * **Interned usage.**  Per-node keyword-usage vectors (repeated
-  keywords only, Def. 2(a)) intern the engine's canonical sorted
-  tuples, so usage ids are bijective with usage values.
-* **Pooled path stack.**  One acc/fresh dict pair per depth, cleared on
-  push instead of reallocated; Dewey alignment is a single
-  longest-common-prefix scan; node codes materialize lazily, only when
-  a result is actually recorded at the node.
+  keywords only, Def. 2(a)) intern canonical sorted tuples.
+* **Pooled path stack.**  One list of per-term tables and one fresh
+  table per depth, cleared on push instead of reallocated; node codes
+  materialize lazily, only when a result is recorded at the node.
+* **Subtree templates.**  A search scan evaluates each distinct closed
+  subtree shape once and replays its net effect for every repeat
+  (DAG-compressed evaluation on the instance stream).
 
-Byte-for-byte parity with the object engine is the contract: the
-kernel performs the same logical table inserts in the same order, so
-results — codes, sizes and per-term breakdowns — are identical,
-including every tie.  ``tests/test_differential_oracle.py`` enforces
-this against the engine, the lattice machine, the semantics layer and
-the brute-force oracle.
-
-The paper's Def. 2(b)(ii) ablation (``impenetrability=False``) is not
-flattened — it is a benchmark-only knob — so the entry points below
-fall back to the object engine for it (counted by
-``kernel_fallbacks``).
+One answer per input is the contract: every entry point — the ranked
+scan with template replay (:func:`evaluate_compiled_flat`), the
+push-style surface the shared-scan batch executor drives
+(:func:`push_evaluation_flat`), the post-order stream and the size
+budget of top-k search — returns the same rows, breakdowns included.
+Tie-breaking depends only on the order of table writes, so every
+table iterates in an order fixed by the input: each depth's per-term
+tables are allocated for every term id in ascending order, never in
+first-touch order, which would carry one node's history to the next
+node pooled at that depth.  ``tests/test_entry_point_parity.py``
+checks the entry points against each other, and against the reference
+engine and the brute-force oracle under ``tests/``.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from repro.core.engine import (ENGINE_COUNTERS, evaluate_compiled,
-                               push_evaluation)
 from repro.core.lattice import record_lattice_metrics
 from repro.core.results import Result
-from repro.core.signatures import (NO_USAGE, CompiledQuery, merge_usage)
+from repro.core.signatures import NO_USAGE, CompiledQuery, merge_usage
 from repro.index.inverted import Posting
 from repro.obs import get_logger, get_metrics
 
@@ -69,19 +79,48 @@ _LOW32 = (1 << 32) - 1                  # breakdown-id half of a value
 _NO_LIMIT = 1 << 62                     # sentinel for "no size budget"
 _UMASK = (1 << _UBITS) - 1              # usage id extracted from key >> 1
 
+#: Counter catalogue of one evaluation (see docs/OBSERVABILITY.md).
+#: Declared up front so reports show explicit zeros even when a run
+#: short-circuits (e.g. a query keyword with an empty inverted list).
+ENGINE_COUNTERS = (
+    "postings_consumed",
+    "stack_pushes",
+    "stack_pops",
+    "entries_merged",
+    "partial_lca_allocations",
+    "results_emitted",
+    "lattice_nodes_built",
+    "lattice_nodes_pruned",
+)
+
 
 class _FlatEvaluation:
     """One run of CohesiveLCA over packed-integer tables.
 
-    The push-style surface (``feed(code, frequencies)`` /
-    ``finish()``) is duck-compatible with the object engine's
-    ``_Evaluation``, so the shared-scan batch executor can drive either
-    interchangeably.  Requires ``impenetrability=True`` (the paper's
-    semantics); callers route the ablation mode to the object engine.
+    Three ways to drive it, one answer: :meth:`run_lists` scans whole
+    posting lists with subtree-template replay, :meth:`feed` /
+    :meth:`finish` take events from an external Dewey-order scan, and
+    :meth:`stream` yields each result as its node pops.
+
+    Parameters
+    ----------
+    size_budget:
+        Optional upper bound on LCA sizes.  Partial LCAs above it are
+        pruned at once — sizes only grow during propagation and
+        combination, so pruning is lossless for the results within the
+        budget (the top-k-size search of Dimitriou, Theodoratos &
+        Sellis, Inf. Syst. 2015).
+    impenetrability:
+        ``False`` disables Def. 2(b)(ii): a term unit completed at a
+        node combines there at once, so terms need only be complete,
+        not impenetrable.  An ablation knob
+        (``benchmarks/bench_ablation_impenetrability.py``); the default
+        is the paper's semantics.
     """
 
     def __init__(self, compiled: CompiledQuery,
                  size_budget: Optional[int] = None,
+                 impenetrability: bool = True,
                  metrics=None):
         self.compiled = compiled
         terms = compiled.terms
@@ -90,6 +129,7 @@ class _FlatEvaluation:
         self._mmask = (1 << mbits) - 1
         self._full_masks = [term.full_mask for term in terms]
         self._root_full = terms[0].full_mask
+        self._term_count = len(terms)
         # Per-term parent slot; index 0 (the root term) never cascades.
         self._parent_ids = [0] + [term.parent_id for term in terms[1:]]
         self._parent_bits = [0] + [1 << term.member_index
@@ -101,8 +141,8 @@ class _FlatEvaluation:
             else _NO_LIMIT
         self._atoms = {keyword: tuple(slots)
                        for keyword, slots in compiled.atoms.items()}
-        # Usage interning: id 0 is NO_USAGE; ids are bijective with the
-        # engine's canonical sorted usage tuples.
+        # Usage interning: id 0 is NO_USAGE; ids are bijective with
+        # canonical sorted usage tuples (see merge_usage).
         self._u_tuples = [NO_USAGE]
         self._u_ids = {NO_USAGE: 0}
         self._u_merge: dict[int, int] = {}
@@ -119,22 +159,26 @@ class _FlatEvaluation:
         self._cshift = compiled.term_count.bit_length()
         # Closure-queue packing: (term << _qshift) | termless key.
         self._qshift = mbits + 42
-        # Path stack, root at depth 0.  Each acc is a per-term dict of
-        # packed-key tables: grouping by term at insert time removes the
-        # engine's per-pop snapshot regroup (combination only ever pairs
-        # entries of one term), and lets keys drop their term bits.
-        # Cross-term dict order differs from the engine's flat tables,
-        # but entries of different terms write disjoint keys, so every
-        # per-key value — and the final sorted ranking — is unchanged.
+        # Path stack, root at depth 0.  Each acc is a list of per-term
+        # packed-key tables indexed by term id (combination only ever
+        # pairs entries of one term, so keys drop their term bits).
+        # Every term's table exists from allocation on, so tables lift
+        # in ascending term order whatever nodes used the depth before:
+        # the order fresh units are embargoed in, and with it which of
+        # two equal-size embeddings wins a later slot, is a function
+        # of the node's subtree alone.
         self._path: list[int] = []
         self._depth = 0
-        self._accs: list[dict[int, dict[int, int]]] = [{}]
+        self._accs: list[list[dict[int, int]]] = [self._new_acc()]
         self._freshes: list[dict[int, int]] = [{}]
         self._codes: list = [()]
         # Subtree-unit templates, keyed by the unit's relative shape
         # (codes below the unit ancestor plus frequency signatures).
         self._unit_cache: dict = {}
         self._results: dict[tuple, int] = {}
+        # Lifted entries merge through the ablation's release fixpoint
+        # only when Def. 2(b)(ii) is off.
+        self._ablation = not impenetrability
         self._metrics = metrics if metrics is not None and \
             metrics.enabled else None
         self.stat_postings = 0
@@ -202,8 +246,8 @@ class _FlatEvaluation:
         return bd
 
     def _complete_bd(self, bd: int, term: int, size: int) -> int:
-        """The engine's completion write: record ``size`` for ``term``
-        in the breakdown if unset or better."""
+        """Term completion: record ``size`` for ``term`` in the
+        breakdown if unset or better."""
         memo = self._bd_complete
         key = ((bd << 32 | size) << self._cshift) | term
         done = memo.get(key)
@@ -221,6 +265,9 @@ class _FlatEvaluation:
 
     # -- path stack ----------------------------------------------------------
 
+    def _new_acc(self) -> list[dict[int, int]]:
+        return [{} for _ in range(self._term_count)]
+
     def _code_at(self, depth: int) -> tuple:
         codes = self._codes
         code = codes[depth]
@@ -237,13 +284,12 @@ class _FlatEvaluation:
             path[depth - 1] = step
         accs = self._accs
         if len(accs) <= depth:
-            accs.append({})
+            accs.append(self._new_acc())
             self._freshes.append({})
             self._codes.append(None)
         else:
-            acc = accs[depth]
-            if acc:
-                for sub in acc.values():
+            for sub in accs[depth]:
+                if sub:
                     sub.clear()
             fresh = self._freshes[depth]
             if fresh:
@@ -252,16 +298,22 @@ class _FlatEvaluation:
 
     # -- driving -------------------------------------------------------------
 
+    def _lcp(self, code) -> int:
+        """Length of the common prefix of ``code`` and the live path."""
+        path = self._path
+        depth = self._depth
+        lcp = 0
+        limit = depth if depth < len(code) else len(code)
+        while lcp < limit and path[lcp] == code[lcp]:
+            lcp += 1
+        return lcp
+
     def feed(self, code, frequencies: dict) -> None:
         """Push one ``(node, keyword frequencies)`` event, Dewey order."""
         self.stat_postings += len(frequencies)
-        path = self._path
         depth = self._depth
         clen = len(code)
-        lcp = 0
-        limit = depth if depth < clen else clen
-        while lcp < limit and path[lcp] == code[lcp]:
-            lcp += 1
+        lcp = self._lcp(code)
         if depth > lcp:
             self.stat_pops += depth - lcp
             merge = self._merge_child
@@ -283,6 +335,47 @@ class _FlatEvaluation:
         self._flush()
         return ranked
 
+    def stream(self, events: Iterable[tuple[tuple, dict]]
+               ) -> Iterator[Result]:
+        """Feed Dewey-ordered events, yielding results post-order.
+
+        A node's minimum LCA size can improve only while the node is
+        on the path stack, so its result is final the moment its entry
+        pops: consumers see results without waiting for the whole
+        input.  Yield order is tree post-order, not Def. 3 order; sort
+        by :meth:`Result.sort_key` for the ranked answer.
+        """
+        for code, frequencies in events:
+            lcp = self._lcp(code)
+            while self._depth > lcp:
+                result = self._pop()
+                if result is not None:
+                    yield result
+            self.feed(code, frequencies)
+        while self._depth > 0:
+            result = self._pop()
+            if result is not None:
+                yield result
+        value = self._results.get(())
+        if value is not None:
+            self.stat_results += 1
+            yield Result((), value >> 32, self._bd_tuples[value & _LOW32])
+        self._flush()
+
+    def _pop(self) -> Optional[Result]:
+        """Pop the top entry; its node's result, if it has one."""
+        depth = self._depth
+        self.stat_pops += 1
+        self._merge_child(depth)
+        self._depth = depth - 1
+        # A node's code materializes exactly when a result is recorded.
+        code = self._codes[depth]
+        if code is None:
+            return None
+        value = self._results[code]
+        self.stat_results += 1
+        return Result(code, value >> 32, self._bd_tuples[value & _LOW32])
+
     def run_lists(self, posting_lists: Mapping[str, Sequence[Posting]]
                   ) -> list[Result]:
         """Scan explicit posting lists (all non-empty) and rank."""
@@ -299,37 +392,12 @@ class _FlatEvaluation:
         self._flush()
         return ranked
 
-    def run_triples(self, triples: list) -> list[Result]:
-        """Scan raw ``(code, keyword, frequency)`` triples and rank.
-
-        The entry point of the zero-copy store path: a batch decoder
-        (:func:`evaluate_flat_on_store`) emits triples straight off
-        the mmap'd varint blocks, skipping
-        :class:`~repro.index.inverted.Posting` materialization
-        entirely.  ``triples`` is consumed (sorted in place).
-        """
-        metrics = self._metrics
-        if metrics is None:
-            self._scan_triples(triples)
-            return self.finish()
-        with metrics.span("stream-scan"):
-            self._scan_triples(triples)
-            self._drain_stack()
-        with metrics.span("rank"):
-            ranked = self._ranked()
-        self.stat_results += len(ranked)
-        self._flush()
-        return ranked
-
     def _scan(self, posting_lists: Mapping[str, Sequence[Posting]]) -> None:
         triples = []
         append = triples.append
         for keyword, plist in posting_lists.items():
             for posting in plist:
                 append((posting.code, keyword, posting.frequency))
-        self._scan_triples(triples)
-
-    def _scan_triples(self, triples: list) -> None:
         # One flat sort replaces heapq.merge: (code, keyword) is unique
         # across streams and frequencies are never compared by the merge,
         # so sorted order equals merged order — at Timsort's
@@ -374,6 +442,8 @@ class _FlatEvaluation:
         cache = self._unit_cache
         feed = self.feed
         merge_child = self._merge_child
+        merge_into = self._merge_released if self._ablation \
+            else self._merge_lifted
         push = self._push
         results = self._results
         a = 0  # lcp(previous event, current event)
@@ -433,10 +503,10 @@ class _FlatEvaluation:
                 u_prefix = code[:d1]
                 for rel, value in results_rel:
                     # Unit-internal codes are unique in the stream, so
-                    # a plain store equals the engine's compare-and-set.
+                    # a plain store equals a compare-and-set.
                     results[u_prefix + rel] = value
             if lifted:
-                self._merge_lifted(d0, lifted)
+                merge_into(d0, lifted)
             a = next_a
 
     def _build_unit(self, d0: int, code, fkey, frequencies) -> tuple:
@@ -511,7 +581,7 @@ class _FlatEvaluation:
         metrics.inc("partial_lca_allocations", self.stat_allocations)
         metrics.inc("results_emitted", self.stat_results)
         _log.debug(
-            "flat evaluation done: %d postings, %d pushes, %d merges, "
+            "evaluation done: %d postings, %d pushes, %d merges, "
             "%d allocations, %d results", self.stat_postings,
             self.stat_pushes, self.stat_merged, self.stat_allocations,
             self.stat_results)
@@ -519,7 +589,14 @@ class _FlatEvaluation:
     # -- self instances ------------------------------------------------------
 
     def _event(self, depth: int, frequencies: dict) -> None:
-        """The engine's ``_add_instances``: atoms plus the pure closure."""
+        """Push the keyword instances of the node at ``depth``.
+
+        Every occurrence slot a contained keyword can fill becomes an
+        atomic partial LCA of size 0, and the *pure closure* combines
+        single-node partial LCAs exhaustively (all instances sit on one
+        node, so Def. 2(b)(i) imposes no restriction beyond the keyword
+        budget of Def. 2(a)).
+        """
         acc = self._accs[depth]
         atoms = self._atoms
         kw_uid = self._kw_uid
@@ -568,7 +645,9 @@ class _FlatEvaluation:
 
     def _insert_pure(self, depth: int, term: int, mask: int, uid: int,
                      size: int, bd: int, queue: deque) -> None:
-        """The engine's ``_insert`` with ``pure=True`` and a live queue."""
+        """Insert a single-node partial LCA, queueing it for the pure
+        closure; a completed term records a result (root term) or
+        cascades as a member unit of its parent term."""
         if size > self._budget_limit:
             return
         if mask == self._full_masks[term]:
@@ -585,10 +664,7 @@ class _FlatEvaluation:
                               queue)
             return
         key = ((mask << _UBITS) | uid) << 1 | 1
-        acc = self._accs[depth]
-        sub = acc.get(term)
-        if sub is None:
-            acc[term] = sub = {}
+        sub = self._accs[depth][term]
         current = sub.get(key)
         if current is None or size < (current >> 32):
             sub[key] = (size << 32) | bd
@@ -600,16 +676,22 @@ class _FlatEvaluation:
     def _merge_child(self, depth: int) -> None:
         """Pop the entry at ``depth``, merging into ``depth - 1``.
 
-        Inlines the engine's ``_merge_child`` + ``_insert`` pair on
-        packed values: the parent snapshot is grouped by term (skipped
-        terms produce no inserts, so the insert sequence is unchanged)
-        and combination breakdowns merge only when an insert wins.
+        Lifting adds the parent→child edge (size + 1), resets the
+        child's keyword usage (budget is per node) and clears the pure
+        flag and any embargo (the unit's LCA is now a proper
+        descendant).  Each lifted partial LCA enters the parent table
+        alone and in combination with every partial LCA already there —
+        never with another one lifted from the same child, which is how
+        provenance disjointness (and with it Def. 2(b)(ii)) holds.
         """
         lifted = self._lift_entry(depth)
         if not lifted:
             return
         self.stat_merged += len(lifted)
-        self._merge_lifted(depth - 1, lifted.items())
+        if self._ablation:
+            self._merge_released(depth - 1, lifted.items())
+        else:
+            self._merge_lifted(depth - 1, lifted.items())
 
     def _lift_entry(self, depth: int) -> dict[int, int]:
         """Lift the entry at ``depth`` for its pop: acc units (minus
@@ -620,7 +702,7 @@ class _FlatEvaluation:
         root_full = self._root_full
         mbits = self._mbits
         lifted: dict[int, int] = {}
-        for term, sub in acc.items():
+        for term, sub in enumerate(acc):
             if not sub:
                 continue
             tbase = term << mbits
@@ -648,18 +730,38 @@ class _FlatEvaluation:
                     lifted[sig] = value + _ONE
         return lifted
 
-    def _merge_lifted(self, pdepth: int, lifted_items,
+    def _merge_released(self, pdepth: int, lifted_items) -> None:
+        """The ablation's merge (``impenetrability=False``): term units
+        completed during this merge combine at this node at once,
+        instead of waiting for propagation (Def. 2(b)(ii) disabled).
+        Released units may complete further terms; iterate to a
+        fixpoint.  Like lifted entries, released units combine only
+        with the parent's entries from before the pop."""
+        snaps = [list(sub.items()) for sub in self._accs[pdepth]]
+        fresh = self._freshes[pdepth]
+        released = dict(fresh)
+        self._merge_lifted(pdepth, lifted_items, snaps)
+        while True:
+            pending = [(sig, value) for sig, value in fresh.items()
+                       if sig not in released
+                       or released[sig] >> 32 != value >> 32]
+            if not pending:
+                return
+            released.update(pending)
+            self._merge_lifted(pdepth, pending, snaps)
+
+    def _merge_lifted(self, pdepth: int, lifted_items, snaps=None,
                       _shift=_SIG_SHIFT, _ubits=_UBITS,
                       _low=_LOW32, _ufield=_UID_FIELD) -> None:
         """Insert lifted ``(sig, value)`` pairs into the entry at
-        ``pdepth``, alone and in combination with that entry's table.
+        ``pdepth``, alone and in combination with that entry's table
+        as it stood before the pop.
 
-        The engine snapshots the parent table once per pop before any
-        insert; here each term's table is snapshot on first touch —
-        necessarily before the first same-term insert — and inserts go
-        straight into the live dict.  Combinations therefore read
-        pre-pop values while insert comparisons see every earlier win,
-        which is exactly the engine's sequence.
+        Each term's table is snapshot on first touch — necessarily
+        before the first same-term insert — unless ``snaps`` (one per
+        term) pins the snapshots, and inserts go straight into the live
+        dict: combinations read pre-pop values while insert comparisons
+        see every earlier win.
         """
         pacc = self._accs[pdepth]
         pfresh = self._freshes[pdepth]
@@ -671,10 +773,8 @@ class _FlatEvaluation:
         complete = self._complete_into
         allocations = 0
         # Group by term first: items of different terms touch disjoint
-        # tables (completions land in fresh/results, which only compare
-        # minima), so per-term processing preserves the engine's insert
-        # sequence while letting the hot loop hoist every per-term
-        # lookup out of the combination scan.
+        # tables, so the hot loop can hoist every per-term lookup out
+        # of the combination scan.
         by_term: dict[int, list] = {}
         for sig, value in lifted_items:
             items = by_term.get(sig >> mbits)
@@ -683,13 +783,14 @@ class _FlatEvaluation:
             items.append((sig & mmask, value))
         for term, items in by_term.items():
             full = full_masks[term]
-            sub = pacc.get(term)
-            if sub is None:
-                pacc[term] = sub = {}
+            sub = pacc[term]
             # Snapshot before this term's first insert (list() is a
             # C-level copy; decomposing here does not amortize because
             # most pops lift a single item per term).
-            snap = list(sub.items()) if sub else ()
+            if snaps is not None:
+                snap = snaps[term]
+            else:
+                snap = list(sub.items()) if sub else ()
             sub_get = sub.get
             for mask, value in items:
                 size = value >> 32
@@ -743,219 +844,39 @@ class _FlatEvaluation:
             self.stat_allocations += 1
 
 
+def push_evaluation_flat(compiled: CompiledQuery,
+                         size_budget: Optional[int] = None,
+                         impenetrability: bool = True) -> _FlatEvaluation:
+    """An evaluation an external Dewey-order scan feeds
+    (``feed(code, frequencies)`` / ``finish()``) or streams
+    (:meth:`_FlatEvaluation.stream`).  Lattice metrics are recorded
+    here, so a batch run accounts one lattice per query, like
+    sequential runs."""
+    metrics = get_metrics()
+    if not metrics.enabled:
+        return _FlatEvaluation(compiled, size_budget, impenetrability)
+    metrics.declare(*ENGINE_COUNTERS)
+    record_lattice_metrics(compiled.query, metrics)
+    return _FlatEvaluation(compiled, size_budget, impenetrability, metrics)
+
+
 def evaluate_compiled_flat(compiled: CompiledQuery,
                            posting_lists: Mapping[str, Sequence[Posting]],
                            size_budget: Optional[int] = None,
                            impenetrability: bool = True) -> list[Result]:
-    """Run the flat kernel on an already-compiled query.
+    """Run CohesiveLCA on an already-compiled query, ranked (Def. 3).
 
-    Drop-in for :func:`repro.core.engine.evaluate_compiled`, returning
-    byte-identical results.  ``impenetrability=False`` (the Def.
-    2(b)(ii) ablation) falls back to the object engine.
+    Parsing and lattice compilation have already happened, so a cached
+    :class:`CompiledQuery` (see :mod:`repro.runtime`) goes straight to
+    the single Dewey-order scan.  A keyword with no postings means no
+    results: every keyword occurrence must be embedded.
     """
-    metrics = get_metrics()
-    if not impenetrability:
-        if metrics.enabled:
-            metrics.inc("kernel_fallbacks")
-        return evaluate_compiled(compiled, posting_lists,
-                                 size_budget=size_budget,
-                                 impenetrability=False)
-    if metrics.enabled:
-        metrics.declare(*ENGINE_COUNTERS)
-        record_lattice_metrics(compiled.query, metrics)
-        metrics.inc("kernel_evaluations")
+    evaluation = push_evaluation_flat(compiled, size_budget,
+                                      impenetrability)
     lists: dict[str, Sequence[Posting]] = {}
     for keyword in compiled.atoms:
         plist = posting_lists.get(keyword, ())
         if not plist:
             return []
         lists[keyword] = plist
-    evaluation = _FlatEvaluation(
-        compiled, size_budget=size_budget,
-        metrics=metrics if metrics.enabled else None)
     return evaluation.run_lists(lists)
-
-
-def push_evaluation_flat(compiled: CompiledQuery,
-                         size_budget: Optional[int] = None,
-                         impenetrability: bool = True):
-    """A push-style flat evaluation for an external scan driver.
-
-    Duck-compatible with :func:`repro.core.engine.push_evaluation`
-    (``feed(code, frequencies)`` / ``finish()``); the ablation mode
-    falls back to the object engine's push evaluation.
-    """
-    metrics = get_metrics()
-    if not impenetrability:
-        if metrics.enabled:
-            metrics.inc("kernel_fallbacks")
-        return push_evaluation(compiled, size_budget=size_budget,
-                               impenetrability=False)
-    if metrics.enabled:
-        metrics.declare(*ENGINE_COUNTERS)
-        record_lattice_metrics(compiled.query, metrics)
-        metrics.inc("kernel_evaluations")
-    return _FlatEvaluation(compiled, size_budget=size_budget,
-                           metrics=metrics if metrics.enabled else None)
-
-
-# -- the zero-copy store path -----------------------------------------------
-
-def _read_varint_view(view, position: int, end: int) -> tuple[int, int]:
-    """LEB128 varint off a memoryview; ``(value, next_position)``."""
-    from repro.errors import StoreFormatError
-    result = 0
-    shift = 0
-    while True:
-        if position >= end:
-            raise StoreFormatError("truncated varint")
-        byte = view[position]
-        position += 1
-        result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, position
-        shift += 7
-        if shift > 63:
-            raise StoreFormatError("varint too long")
-
-
-def _decode_pairs_view(view, position: int, end: int, count: int
-                       ) -> tuple[list, int]:
-    """Decode ``count`` front-coded postings as ``(code, freq)`` pairs."""
-    from repro.errors import StoreFormatError
-    pairs: list = []
-    append = pairs.append
-    previous: tuple = ()
-    read = _read_varint_view
-    for _ in range(count):
-        shared, position = read(view, position, end)
-        if shared > len(previous):
-            raise StoreFormatError(
-                f"shared prefix {shared} longer than previous code")
-        extra, position = read(view, position, end)
-        steps = []
-        for _ in range(extra):
-            step, position = read(view, position, end)
-            steps.append(step)
-        code = previous[:shared] + tuple(steps)
-        frequency, position = read(view, position, end)
-        append((code, frequency))
-        previous = code
-    return pairs, position
-
-
-def _decode_block_view(block) -> list:
-    """Decode one :class:`~repro.index.store_v2.BlockView` into sorted
-    ``(code, frequency)`` pairs, fanning dedup blocks back out.
-
-    Walks the varints in place on the mmap-backed memoryview — the
-    only allocations are the decoded code tuples themselves.
-    """
-    from repro.errors import StoreFormatError
-    view = block.view
-    end = len(view)
-    if block.kind != "dedup":
-        pairs, position = _decode_pairs_view(view, 0, end, block.npost)
-        if position != end:
-            raise StoreFormatError("trailing bytes after posting block")
-        return pairs
-    groups = block.groups or ()
-    read = _read_varint_view
-    nsections, position = read(view, 0, end)
-    if nsections * 2 > end:
-        raise StoreFormatError(
-            f"{nsections} dedup sections cannot fit in {end} bytes")
-    expanded: list = []
-    for _ in range(nsections):
-        group_id, position = read(view, position, end)
-        if group_id >= len(groups):
-            raise StoreFormatError(
-                f"dedup section references group {group_id} but the "
-                f"subtree table has {len(groups)} group(s)")
-        nrel, position = read(view, position, end)
-        if nrel * 3 > end - position:
-            raise StoreFormatError(
-                f"{nrel} relative postings cannot fit in the dedup "
-                "block")
-        relative, position = _decode_pairs_view(view, position, end,
-                                                nrel)
-        for prefix in groups[group_id]:
-            for code, frequency in relative:
-                expanded.append((prefix + code, frequency))
-    nresidual, position = read(view, position, end)
-    if nresidual * 3 > end - position:
-        raise StoreFormatError(
-            f"{nresidual} residual postings cannot fit in the dedup "
-            "block")
-    residual, position = _decode_pairs_view(view, position, end,
-                                            nresidual)
-    if position != end:
-        raise StoreFormatError("trailing bytes after dedup block")
-    expanded.extend(residual)
-    expanded.sort(key=lambda pair: pair[0])
-    if len(expanded) != block.npost:
-        raise StoreFormatError(
-            f"dedup block expanded to {len(expanded)} postings; the "
-            f"directory says {block.npost}")
-    return expanded
-
-
-def evaluate_flat_on_store(compiled: CompiledQuery, store,
-                           list_limit: Optional[int] = None,
-                           size_budget: Optional[int] = None,
-                           impenetrability: bool = True) -> list[Result]:
-    """Run the flat kernel straight off a CKSIDX2 store.
-
-    Batch-decodes each atom's posting blocks through the store's
-    zero-copy :meth:`~repro.index.store_v2.LazyIndex.block_views` —
-    mmap bytes flow through the varint walk into scan triples with no
-    :class:`~repro.index.inverted.Posting` objects and no intermediate
-    copies — then evaluates on the preallocated-stack kernel.
-    Byte-identical to ``evaluate_compiled_flat`` over
-    ``store.postings(...)`` lists (differential-tested), including
-    over DAG-deduped stores, whose blocks fan back out during the
-    decode.  The ablation mode falls back to the object engine on
-    materialized lists.
-    """
-    metrics = get_metrics()
-    if not impenetrability:
-        if metrics.enabled:
-            metrics.inc("kernel_fallbacks")
-        lists = {}
-        for keyword in compiled.atoms:
-            plist = store.postings(keyword, limit=list_limit)
-            if not plist:
-                return []
-            lists[keyword] = plist
-        return evaluate_compiled(compiled, lists,
-                                 size_budget=size_budget,
-                                 impenetrability=False)
-    if metrics.enabled:
-        metrics.declare(*ENGINE_COUNTERS)
-        record_lattice_metrics(compiled.query, metrics)
-        metrics.inc("kernel_evaluations")
-    triples: list = []
-    for keyword in compiled.atoms:
-        views = store.block_views(keyword)
-        if not views:
-            return []
-        if len(views) == 1:
-            pairs = _decode_block_view(views[0])
-        else:
-            # Multi-segment keyword: same-code frequencies sum, Dewey
-            # order — the _merge_decoded semantics.
-            bucket: dict = {}
-            for view in views:
-                for code, frequency in _decode_block_view(view):
-                    bucket[code] = bucket.get(code, 0) + frequency
-            pairs = sorted(bucket.items())
-        if list_limit is not None:
-            pairs = pairs[:list_limit]
-        if not pairs:
-            return []
-        triples.extend((code, keyword, frequency)
-                       for code, frequency in pairs)
-    evaluation = _FlatEvaluation(
-        compiled, size_budget=size_budget,
-        metrics=metrics if metrics.enabled else None)
-    return evaluation.run_triples(triples)

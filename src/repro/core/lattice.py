@@ -22,7 +22,7 @@ This module implements that accounting:
   the paper draws it (reproduces 15, 7, 3 and 9 for the queries of
   Figs. 2 and 3).
 
-The evaluation engine itself (:mod:`repro.core.engine`) does not
+The evaluation kernel itself (:mod:`repro.core.kernel`) does not
 materialize partitions — it indexes partial LCAs by admissible *blocks*
 (signatures), which is equivalent and leaner — so this module is the
 analysis companion used by tests, examples and the Fig. 6 benchmark.

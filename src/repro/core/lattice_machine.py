@@ -1,6 +1,6 @@
 """A literal implementation of the paper's Algorithm 1 (CohesiveLCA).
 
-The optimized engine (:mod:`repro.core.engine`) indexes partial LCAs by
+The optimized kernel (:mod:`repro.core.kernel`) indexes partial LCAs by
 admissible *block* and merges children sequentially; this module instead
 follows the paper's own organization, for fidelity and as an executable
 specification of §3:

@@ -56,33 +56,27 @@ def _search_shard(query_text: str,
                   postings: dict[str, tuple[Posting, ...]],
                   tokenizer: Optional[Tokenizer],
                   trace_wire: Optional[dict] = None,
-                  shard: Optional[int] = None,
-                  kernel: Optional[str] = None
+                  shard: Optional[int] = None
                   ) -> tuple[list[Result], list[dict]]:
     """Worker: evaluate ``query_text`` over one shard's postings.
 
     Runs in a pool process.  The shard postings are already sliced to
     any ``list_limit`` by the parent, so the session searches
-    unlimited.  The parent's ``kernel`` choice is forwarded explicitly:
-    a worker must not fall back to its own ``REPRO_KERNEL`` default
-    when the caller asked for a specific evaluation kernel.  With a
-    serialized ``trace_wire`` the worker re-enters the parent's trace
-    context under a local tracer, so its spans — stamped with the
-    worker's own pid — come back as the second element for the parent
-    to :meth:`~repro.obs.tracing.Tracer.adopt` into one coherent
-    cross-process trace.
+    unlimited.  With a serialized ``trace_wire`` the worker re-enters
+    the parent's trace context under a local tracer, so its spans —
+    stamped with the worker's own pid — come back as the second element
+    for the parent to :meth:`~repro.obs.tracing.Tracer.adopt` into one
+    coherent cross-process trace.
     """
     from repro.runtime import SearchSession
     index = InvertedIndex(postings, tokenizer)
-    changes = {} if kernel is None else {"kernel": kernel}
     if trace_wire is None:
-        return SearchSession(index).search(query_text, **changes), []
+        return SearchSession(index).search(query_text), []
     tracer = Tracer(memory=trace_wire.get("memory", False))
     try:
         with trace_scope(tracer), activate_wire(trace_wire):
             with tracer.span("shard", shard=shard):
-                results = SearchSession(index).search(query_text,
-                                                      **changes)
+                results = SearchSession(index).search(query_text)
     finally:
         tracer.close()
     return results, [span.as_dict() for span in tracer.spans()]
@@ -265,8 +259,7 @@ class Corpus:
     def search(self, query: Union[str, Query],
                list_limit: Optional[int] = None,
                within_documents: bool = True,
-               workers: Optional[int] = None,
-               kernel: Optional[str] = None) -> list[DocumentResult]:
+               workers: Optional[int] = None) -> list[DocumentResult]:
         """Evaluate a cohesive query across the whole collection.
 
         Results come back ranked by LCA size, each tagged with its
@@ -280,42 +273,31 @@ class Corpus:
         sequential one.  Requires ``within_documents=True`` (only the
         corpus root spans shards).  If the pool cannot start, the search
         falls back to sequential with a warning.
-
-        ``kernel`` picks the cohesive evaluation kernel (see
-        :data:`repro.runtime.options.KERNELS`); ``None`` uses the
-        session default.  Worker processes receive the choice
-        explicitly, so parallel answers stay byte-identical to
-        sequential ones under either kernel.
         """
         tracer = get_tracer()
         if not tracer.enabled:
             return self._search_impl(query, list_limit, within_documents,
-                                     workers, kernel)
+                                     workers)
         with tracer.span("corpus-search", query=str(query),
                          workers=workers or 1) as span:
             attributed = self._search_impl(query, list_limit,
-                                           within_documents, workers,
-                                           kernel)
+                                           within_documents, workers)
             span.set_attr("result_count", len(attributed))
         return attributed
 
     def _search_impl(self, query: Union[str, Query],
                      list_limit: Optional[int],
                      within_documents: bool,
-                     workers: Optional[int],
-                     kernel: Optional[str] = None) -> list[DocumentResult]:
+                     workers: Optional[int]) -> list[DocumentResult]:
         if workers is not None and workers > 1:
             if not within_documents:
                 raise ReproError(
                     "workers>1 requires within_documents=True: the "
                     "corpus-root result spans shards")
-            results = self._search_parallel(query, list_limit, workers,
-                                            kernel)
+            results = self._search_parallel(query, list_limit, workers)
             if results is not None:
                 return self._attribute(results, within_documents=True)
-        changes = {} if kernel is None else {"kernel": kernel}
-        results = self.session.search(query, list_limit=list_limit,
-                                      **changes)
+        results = self.session.search(query, list_limit=list_limit)
         return self._attribute(results, within_documents)
 
     def _attribute(self, results: Sequence[Result],
@@ -333,9 +315,7 @@ class Corpus:
 
     def _search_parallel(self, query: Union[str, Query],
                          list_limit: Optional[int],
-                         workers: int,
-                         kernel: Optional[str] = None
-                         ) -> Optional[list[Result]]:
+                         workers: int) -> Optional[list[Result]]:
         """Fan the search out over a process pool; ``None`` on failure.
 
         The parent slices every keyword's *corpus-wide* list to
@@ -360,7 +340,7 @@ class Corpus:
             with ProcessPoolExecutor(max_workers=len(shards)) as pool:
                 futures = [
                     pool.submit(_search_shard, str(parsed), shard,
-                                self._tokenizer, wire, number, kernel)
+                                self._tokenizer, wire, number)
                     for number, shard in enumerate(shards)
                 ]
                 merged: list[Result] = []

@@ -223,16 +223,9 @@ def timed(function: Callable[[], object]) -> tuple[object, float]:
 
 
 def time_cohesive(query: Query, index: InvertedIndex,
-                  list_limit: Optional[int],
-                  kernel: Optional[str] = None) -> float:
-    """Seconds for one CohesiveLCA evaluation (Fig. 5/6/7/8 subject).
-
-    ``kernel`` pins the evaluation kernel (``"flat"``/``"object"``)
-    so the benchmarks can time both sides of the byte-identical pair;
-    ``None`` uses the session default.
-    """
+                  list_limit: Optional[int]) -> float:
+    """Seconds for one CohesiveLCA evaluation (Fig. 5/6/7/8 subject)."""
     searcher = CohesiveLCA(index)
     _, seconds = timed(lambda: searcher.search(query,
-                                               list_limit=list_limit,
-                                               kernel=kernel))
+                                               list_limit=list_limit))
     return seconds

@@ -702,26 +702,6 @@ class _LazyPostings(MappingABC):
         return frozenset(self._cache)
 
 
-@dataclass(frozen=True)
-class BlockView:
-    """A zero-copy window onto one live posting block of the store.
-
-    ``view`` is a :class:`memoryview` slice of the underlying mmap —
-    no bytes are copied until a decoder walks it.  ``kind`` is
-    ``"postings"`` for a plain front-coded block or ``"dedup"`` for a
-    flag-3 block, in which case ``groups`` carries the owning
-    segment's decoded subtree table (occurrence prefixes per group)
-    so the consumer can fan the relative postings back out.  ``npost``
-    is the directory's (expanded) posting count for the block.
-    """
-
-    keyword: str
-    kind: str
-    npost: int
-    view: memoryview
-    groups: Optional[tuple] = None
-
-
 class LazyIndex(InvertedIndex):
     """An :class:`InvertedIndex` served lazily from a CKSIDX2 store.
 
@@ -746,7 +726,6 @@ class LazyIndex(InvertedIndex):
         self._file = file
         self._buffer = buffer
         self._segments = segments
-        self._views: list[memoryview] = []
 
     # -- store-specific surface ---------------------------------------------
 
@@ -774,43 +753,8 @@ class LazyIndex(InvertedIndex):
         the directory (no decode; 0 for an absent keyword)."""
         return self._postings.list_bytes(self._normalize(keyword))
 
-    def block_views(self, keyword: str) -> tuple[BlockView, ...]:
-        """Zero-copy views of a keyword's live blocks, oldest first.
-
-        Each :class:`BlockView` wraps a :class:`memoryview` slice of
-        the mmap; nothing is decoded or copied here, so a batch
-        decoder (:func:`repro.core.kernel.evaluate_flat_on_store`)
-        can walk the varints in place.  Dedup views carry their
-        segment's decoded subtree table for fan-out.  Returns ``()``
-        for an absent keyword.
-        """
-        normalized = self._normalize(keyword)
-        extents = self._postings._extents.get(normalized)
-        if not extents:
-            return ()
-        window = memoryview(self._buffer)
-        self._views.append(window)
-        views = []
-        for extent in extents:
-            groups = self._postings.segment_groups(extent.segment) \
-                if extent.kind == "dedup" else None
-            sliced = window[extent.offset:extent.offset + extent.length]
-            self._views.append(sliced)
-            views.append(BlockView(normalized, extent.kind,
-                                   extent.npost, sliced, groups))
-        return tuple(views)
-
     def close(self) -> None:
-        """Release the mmap and the file handle (idempotent).
-
-        Any :meth:`block_views` views handed out are released too —
-        the mmap cannot unmap while views export its buffer — so
-        reading a view after close raises ``ValueError`` instead of
-        dangling.
-        """
-        views, self._views = self._views, []
-        for view in views:
-            view.release()
+        """Release the mmap and the file handle (idempotent)."""
         buffer, self._buffer = self._buffer, None
         if isinstance(buffer, mmap.mmap):
             buffer.close()

@@ -2,7 +2,7 @@
 
 A **wide event** is the single per-request record that joins what the
 other observability layers only show in aggregate: which route ran,
-the query's shape, the algorithm/rank/kernel that evaluated it, how
+the query's shape, the algorithm and rank mode that evaluated it, how
 long it took, how many posting bytes it decoded, whether the plan and
 posting caches hit, the trace it belongs to, and how it ended.  Every
 :meth:`~repro.runtime.session.SearchSession.search` /
@@ -48,7 +48,6 @@ WIDE_EVENT_FIELDS = (
     "queries",
     "algorithm",
     "rank",
-    "kernel",
     "duration_seconds",
     "bytes_decoded",
     "plan_cache_hit",
@@ -70,7 +69,6 @@ def wide_event(kind: str, route: str, *,
                queries: int = 1,
                algorithm: Optional[str] = None,
                rank: Optional[str] = None,
-               kernel: Optional[str] = None,
                duration_seconds: float = 0.0,
                bytes_decoded: int = 0,
                plan_cache_hit: Optional[bool] = None,
@@ -102,7 +100,6 @@ def wide_event(kind: str, route: str, *,
         "queries": queries,
         "algorithm": algorithm,
         "rank": rank,
-        "kernel": kernel,
         "duration_seconds": round(duration_seconds, 9),
         "bytes_decoded": bytes_decoded,
         "plan_cache_hit": plan_cache_hit,

@@ -20,15 +20,14 @@ legacy entry points.
 """
 
 from repro.runtime.cache import LRUCache
-from repro.runtime.options import (ALGORITHMS, KERNELS, RANK_MODES,
-                                   OptionsError, SearchOptions)
+from repro.runtime.options import (ALGORITHMS, RANK_MODES, OptionsError,
+                                   SearchOptions)
 from repro.runtime.session import (RUNTIME_COUNTERS, RUNTIME_GAUGES,
                                    CompiledPlan, SearchSession,
                                    ServingHandles)
 
 __all__ = [
     "ALGORITHMS",
-    "KERNELS",
     "RANK_MODES",
     "OptionsError",
     "SearchOptions",

@@ -7,7 +7,7 @@ workloads share most of theirs).  This module merges the posting lists
 of every distinct plan in the batch into **one** Dewey-order heap scan
 and feeds each query's evaluation push-style from the shared stream:
 
-* the engine via :func:`repro.core.engine.push_evaluation`
+* the kernel via :func:`repro.core.kernel.push_evaluation_flat`
   (``feed``/``finish``);
 * the literal machine via :meth:`LatticeMachine.feed_node` /
   :meth:`~LatticeMachine.finalize`.
@@ -23,7 +23,8 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.engine import merge_posting_streams, push_evaluation
+from repro.core.engine import merge_posting_streams
+from repro.core.kernel import push_evaluation_flat
 from repro.core.results import Result
 from repro.obs.metrics import AnyMetrics
 from repro.runtime.options import SearchOptions
@@ -57,15 +58,9 @@ def _make_consumer(plan: "CompiledPlan", options: SearchOptions,
         machine = LatticeMachine(plan.query, normalize)
         return _Consumer(plan.key, machine.keywords, machine.feed_node,
                          machine.finalize)
-    if options.kernel == "flat":
-        from repro.core.kernel import push_evaluation_flat
-        evaluation = push_evaluation_flat(
-            plan.compiled, size_budget=options.max_size,
-            impenetrability=options.impenetrability)
-    else:
-        evaluation = push_evaluation(
-            plan.compiled, size_budget=options.max_size,
-            impenetrability=options.impenetrability)
+    evaluation = push_evaluation_flat(
+        plan.compiled, size_budget=options.max_size,
+        impenetrability=options.impenetrability)
     return _Consumer(plan.key, frozenset(plan.compiled.atoms),
                      evaluation.feed, evaluation.finish)
 

@@ -10,8 +10,7 @@ routes on.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from repro.errors import ReproError
@@ -26,23 +25,6 @@ ALGORITHMS = ("cohesive", "machine", "slca", "elca", "lcasz", "saone")
 #: ranking, or the §6 skyline semantics.  Only ``cohesive`` results
 #: carry the term-size vectors the latter two need.
 RANK_MODES = ("size", "vector", "skyline")
-
-#: Evaluation kernels for the ``cohesive`` algorithm.  ``flat`` is the
-#: packed-integer kernel (:mod:`repro.core.kernel`), byte-identical to
-#: ``object`` (the reference engine) and substantially faster on large
-#: queries; non-cohesive algorithms ignore the knob.
-KERNELS = ("flat", "object")
-
-
-def _default_kernel() -> str:
-    """The process-wide default kernel, overridable via REPRO_KERNEL.
-
-    An unknown value falls through to ``__post_init__`` validation so a
-    typo'd environment fails loudly on first use instead of silently
-    searching with the default.
-    """
-    return os.environ.get("REPRO_KERNEL", "flat")
-
 
 class OptionsError(ReproError):
     """An invalid :class:`SearchOptions` combination."""
@@ -74,12 +56,6 @@ class SearchOptions:
         cached posting tuple, so it composes with the posting cache.
     impenetrability:
         ``False`` disables Def. 2(b)(ii) (ablation studies only).
-    kernel:
-        One of :data:`KERNELS`: ``flat`` (default, overridable with the
-        ``REPRO_KERNEL`` environment variable) runs the cohesive
-        algorithm on the packed-integer kernel, ``object`` on the
-        reference engine.  Results are byte-identical either way;
-        algorithms other than ``cohesive`` ignore the knob.
     """
 
     algorithm: str = "cohesive"
@@ -89,7 +65,6 @@ class SearchOptions:
     initial_budget: Optional[int] = None
     list_limit: Optional[int] = None
     impenetrability: bool = True
-    kernel: str = field(default_factory=_default_kernel)
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -100,10 +75,6 @@ class SearchOptions:
             raise OptionsError(
                 f"unknown rank mode {self.rank!r}; "
                 f"expected one of {RANK_MODES}")
-        if self.kernel not in KERNELS:
-            raise OptionsError(
-                f"unknown kernel {self.kernel!r}; "
-                f"expected one of {KERNELS}")
         if self.algorithm != "cohesive":
             if self.rank != "size":
                 raise OptionsError(

@@ -33,9 +33,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
 
-from repro.core.engine import (ENGINE_COUNTERS, evaluate_compiled,
-                               merge_posting_streams, push_evaluation)
-from repro.core.kernel import evaluate_compiled_flat
+from repro.core.engine import merge_posting_streams
+from repro.core.kernel import (ENGINE_COUNTERS, evaluate_compiled_flat,
+                               push_evaluation_flat)
 from repro.core.parser import parse_query
 from repro.core.query import Query
 from repro.core.results import Result
@@ -514,7 +514,7 @@ class SearchSession:
         lists = self._plan_lists(plan, options, metrics, state)
         if lists is None:
             return
-        evaluation = push_evaluation(
+        evaluation = push_evaluation_flat(
             plan.compiled, size_budget=options.max_size,
             impenetrability=options.impenetrability)
         yield from evaluation.stream(merge_posting_streams(lists))
@@ -710,7 +710,7 @@ class SearchSession:
         return wide_event(
             kind, route, query=query, query_shape=query_shape,
             queries=queries, algorithm=options.algorithm,
-            rank=options.rank, kernel=options.kernel,
+            rank=options.rank,
             duration_seconds=duration,
             bytes_decoded=deltas["posting_decode_bytes"],
             plan_cache_hit=self._cache_flag(deltas, "plan_cache"),
@@ -1359,11 +1359,7 @@ class SearchSession:
         if options.top_k is not None:
             results = self._top_k(plan, lists, options)
         else:
-            # kernel="flat" routes to the packed-integer kernel (byte-
-            # identical answers; the ablation mode falls back inside).
-            evaluate = evaluate_compiled_flat \
-                if options.kernel == "flat" else evaluate_compiled
-            results = evaluate(
+            results = evaluate_compiled_flat(
                 plan.compiled, lists, size_budget=options.max_size,
                 impenetrability=options.impenetrability)
         return self._apply_rank(plan, results, options, state)
@@ -1382,10 +1378,8 @@ class SearchSession:
         ceiling = max(1, depth * plan.query.keyword_count)
         budget = options.initial_budget \
             if options.initial_budget is not None else max(1, depth)
-        evaluate = evaluate_compiled_flat \
-            if options.kernel == "flat" else evaluate_compiled
         while True:
-            results = evaluate(
+            results = evaluate_compiled_flat(
                 plan.compiled, lists, size_budget=budget,
                 impenetrability=options.impenetrability)
             if len(results) >= k or budget >= ceiling:

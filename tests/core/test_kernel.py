@@ -1,33 +1,50 @@
-"""Edge-case regressions for the flat evaluation kernel.
+"""Edge-case regressions for the evaluation kernel.
 
-The differential-oracle suite covers the random bulk; this file pins
-the corners that random trees rarely hit — single-node documents,
-empty-result queries, keywords whose postings arrive from several
-store segments, and store-side list limits — each asserted
-byte-identical to the object engine (full Result equality: codes,
-sizes, breakdowns, order).
+The differential-oracle and entry-point parity suites cover the random
+bulk; this file pins the corners that random trees rarely hit —
+single-node documents, empty-result queries, keywords whose postings
+arrive from several store segments, and store-side list limits.  Each
+is asserted against the reference engine on ``(code, size)`` and, over
+stores, against the kernel on materialized lists with full Result
+equality.
 """
 
 import pytest
 
-from repro.core.engine import evaluate_compiled
-from repro.core.kernel import (evaluate_compiled_flat,
-                               evaluate_flat_on_store)
+from repro.core.kernel import evaluate_compiled_flat
 from repro.core.parser import parse_query
+from repro.core.results import Result
 from repro.core.signatures import compile_query
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.store_v2 import (append_segment, load_index_v2,
                                   save_index_v2, save_index_v2_dedup)
 from repro.runtime import SearchSession
 
+from tests.reference_engine import evaluate_compiled
+
+
+def _pairs(results):
+    return [(r.code, r.size) for r in results]
+
 
 def _both(index, text, **kwargs):
-    """(flat, object) result lists for one query on one index."""
+    """(kernel, reference) result lists for one query on one index."""
     compiled = compile_query(parse_query(text),
                              index.tokenizer.normalize)
     lists = {kw: index.postings(kw) for kw in compiled.atoms}
     return (evaluate_compiled_flat(compiled, lists, **kwargs),
             evaluate_compiled(compiled, lists, **kwargs))
+
+
+def _store_matches_lists(lazy, text, list_limit=None):
+    """A session over the store answers like the kernel over the
+    store's decoded lists, and like the reference engine."""
+    compiled = compile_query(parse_query(text), lazy.tokenizer.normalize)
+    lists = {kw: lazy.postings(kw)[:list_limit] for kw in compiled.atoms}
+    searched = SearchSession(lazy).search(text, list_limit=list_limit)
+    assert searched == evaluate_compiled_flat(compiled, lists)
+    assert _pairs(searched) == _pairs(evaluate_compiled(compiled, lists))
+    return searched
 
 
 class TestSingleNodeDocuments:
@@ -37,24 +54,19 @@ class TestSingleNodeDocuments:
         index = InvertedIndex({"a": [Posting((), 1)],
                                "b": [Posting((), 2)]})
         flat, obj = _both(index, "(a b)")
-        assert flat == obj
-        assert [(r.code, r.size) for r in flat] == [((), 0)]
+        assert _pairs(flat) == _pairs(obj) == [((), 0)]
 
     def test_single_keyword_single_node(self):
         index = InvertedIndex({"a": [Posting((0,), 1)]})
         flat, obj = _both(index, "(a)")
-        assert flat == obj
-        assert [(r.code, r.size) for r in flat] == [((0,), 0)]
+        assert _pairs(flat) == _pairs(obj) == [((0,), 0)]
 
     def test_single_node_store_roundtrip(self, tmp_path):
         index = InvertedIndex({"a": [Posting((), 1)]})
         path = tmp_path / "one.idx2"
         save_index_v2(index, path)
-        compiled = compile_query(parse_query("(a)"),
-                                 index.tokenizer.normalize)
         with load_index_v2(path) as lazy:
-            assert evaluate_flat_on_store(compiled, lazy) == \
-                evaluate_compiled(compiled, {"a": index.postings("a")})
+            assert _pairs(_store_matches_lists(lazy, "(a)")) == [((), 0)]
 
 
 class TestEmptyResults:
@@ -78,16 +90,14 @@ class TestEmptyResults:
     def test_empty_result_on_store(self, figure1_index, tmp_path):
         path = tmp_path / "empty.idx2"
         save_index_v2(figure1_index, path)
-        compiled = compile_query(parse_query("(xml notinthetree)"),
-                                 figure1_index.tokenizer.normalize)
         with load_index_v2(path) as lazy:
-            assert evaluate_flat_on_store(compiled, lazy) == []
+            assert _store_matches_lists(lazy, "(xml notinthetree)") == []
 
 
 class TestMultiBlockPostings:
-    """A keyword whose postings span several on-disk blocks: the
-    zero-copy path must merge the per-segment views exactly like the
-    lazy mapping merges decoded tuples."""
+    """A keyword whose postings span several on-disk blocks: the lazy
+    mapping merges the per-segment blocks before the kernel sees
+    them."""
 
     @pytest.fixture()
     def multi_segment(self, tmp_path):
@@ -105,38 +115,25 @@ class TestMultiBlockPostings:
         }))
         return path
 
-    def test_views_cover_every_segment(self, multi_segment):
-        with load_index_v2(multi_segment) as lazy:
-            assert len(lazy.block_views("a")) == 3
-            assert len(lazy.block_views("b")) == 2
-
     def test_store_evaluation_merges_blocks(self, multi_segment):
         with load_index_v2(multi_segment) as lazy:
-            compiled = compile_query(parse_query("(a b)"),
-                                     lazy.tokenizer.normalize)
-            lists = {kw: lazy.postings(kw) for kw in compiled.atoms}
             # Same-code frequencies summed across segments first.
             assert dict((p.code, p.frequency)
-                        for p in lists["a"])[(0, 0)] == 3
-            assert evaluate_flat_on_store(compiled, lazy) == \
-                evaluate_compiled(compiled, lists)
+                        for p in lazy.postings("a"))[(0, 0)] == 3
+            assert _store_matches_lists(lazy, "(a b)")
 
     def test_list_limit_applies_after_merge(self, multi_segment):
         with load_index_v2(multi_segment) as lazy:
-            compiled = compile_query(parse_query("(a b)"),
-                                     lazy.tokenizer.normalize)
             for limit in (1, 2, 3, 10):
-                lists = {kw: lazy.postings(kw)[:limit]
-                         for kw in compiled.atoms}
-                assert evaluate_flat_on_store(compiled, lazy,
-                                              list_limit=limit) == \
-                    evaluate_compiled(compiled, lists)
+                _store_matches_lists(lazy, "(a b)", list_limit=limit)
 
     def test_session_parity_on_multi_segment_store(self, multi_segment):
         with load_index_v2(multi_segment) as lazy:
             session = SearchSession(lazy)
-            assert session.search("(a b)", kernel="flat") == \
-                session.search("(a b)", kernel="object")
+            searched = session.search("(a b)")
+            assert session.search_batch(["(a b)"]) == [searched]
+            assert sorted(session.stream("(a b)"),
+                          key=Result.sort_key) == searched
 
     def test_dedup_base_plus_appends(self, tmp_path):
         # Dedup first segment, plain appends on top: mixed flags.
@@ -148,8 +145,4 @@ class TestMultiBlockPostings:
         save_index_v2_dedup(base, path)
         append_segment(path, InvertedIndex({"a": [Posting((9,), 2)]}))
         with load_index_v2(path) as lazy:
-            compiled = compile_query(parse_query("(a b)"),
-                                     lazy.tokenizer.normalize)
-            lists = {kw: lazy.postings(kw) for kw in compiled.atoms}
-            assert evaluate_flat_on_store(compiled, lazy) == \
-                evaluate_compiled(compiled, lists)
+            assert _store_matches_lists(lazy, "(a b)")

@@ -32,7 +32,7 @@ SERIES_FIELDS` and the ``| anomaly-field:`` rows against
 import re
 from pathlib import Path
 
-from repro.core.engine import ENGINE_COUNTERS
+from repro.core.kernel import ENGINE_COUNTERS
 from repro.index.store_v2 import STORE_V2_COUNTERS, STORE_V2_GAUGES
 from repro.obs.flight import FLIGHT_BUNDLE_FIELDS
 from repro.obs.slo import SLO_GAUGES

@@ -16,7 +16,7 @@ class TestWideEventBuilder:
     def test_defaults_and_overrides(self):
         event = wide_event(
             "request", "/search", query="(a b)", query_shape="k2t2",
-            algorithm="stream-scan", rank="none", kernel="engine",
+            algorithm="stream-scan", rank="none",
             duration_seconds=0.0123456789012, bytes_decoded=42,
             plan_cache_hit=True, posting_cache_hit=False,
             trace_id="t1", outcome="error", status=500,

@@ -11,12 +11,16 @@ lattice machine), and property-based over random workloads.
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.engine import merge_posting_streams
+from repro.core.parser import parse_query
+from repro.core.signatures import compile_query
 from repro.datasets import generate_baseball, generate_dblp
 from repro.index.inverted import InvertedIndex
 from repro.obs import metrics_scope
 from repro.runtime import SearchOptions, SearchSession
 
 from tests.conftest import Q1
+from tests.reference_engine import push_evaluation
 
 
 @pytest.fixture(scope="module")
@@ -158,32 +162,43 @@ class TestPropertyBased:
 
 
 class TestKernelParity:
-    """The flat kernel must not perturb the batch contract: batch ==
-    sequential under ``kernel="flat"``, and the two kernels agree with
-    each other on whole workloads (ISSUE satellite — the shared-scan
-    consumer feeds ``push_evaluation_flat`` the same per-plan streams
-    the sequential path decodes)."""
+    """The kernel's push path (the shared-scan consumer feeds
+    ``push_evaluation_flat``) must answer like its replaying scan
+    under every cohesive option, and like the reference engine on
+    ``(code, size)``."""
 
     @given(workload=st.lists(_queries(), min_size=1, max_size=6),
-           kernel=st.sampled_from(["flat", "object"]))
+           max_size=st.sampled_from([None, 2, 4]),
+           impenetrability=st.booleans())
     def test_batch_equals_sequential_under_kernel(self, figure1_index,
-                                                  workload, kernel):
+                                                  workload, max_size,
+                                                  impenetrability):
         session = SearchSession(figure1_index)
-        options = SearchOptions(kernel=kernel)
+        options = SearchOptions(max_size=max_size,
+                                impenetrability=impenetrability)
         assert_identical(
             session.search_batch(workload, options),
             [session.search(query, options) for query in workload])
 
     @given(workload=st.lists(_queries(), min_size=1, max_size=6))
     def test_batch_kernels_agree(self, figure1_index, workload):
+        """The kernel's shared scan against the reference engine's push
+        path fed the same merged stream, on ``(code, size)``."""
         session = SearchSession(figure1_index)
-        assert_identical(
-            session.search_batch(workload, SearchOptions(kernel="flat")),
-            session.search_batch(workload,
-                                 SearchOptions(kernel="object")))
+        normalize = figure1_index.tokenizer.normalize
+        for query, answer in zip(workload, session.search_batch(workload)):
+            compiled = compile_query(parse_query(query), normalize)
+            lists = {keyword: figure1_index.postings(keyword)
+                     for keyword in compiled.atoms}
+            reference = push_evaluation(compiled)
+            if all(lists.values()):
+                for code, frequencies in merge_posting_streams(lists):
+                    reference.feed(code, frequencies)
+            assert [(r.code, r.size) for r in answer] == \
+                [(r.code, r.size) for r in reference.finish()]
 
     def test_table2_workloads_under_flat_kernel(self, table2_workloads):
-        options = SearchOptions(kernel="flat")
+        options = SearchOptions(impenetrability=False)
         for name, index, queries in table2_workloads:
             session = SearchSession(index)
             assert_identical(

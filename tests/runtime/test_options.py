@@ -1,5 +1,9 @@
 """SearchOptions validation: the one value object behind the facade."""
 
+import re
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from repro.runtime import ALGORITHMS, OptionsError, RANK_MODES, SearchOptions
@@ -71,3 +75,16 @@ class TestImmutability:
     def test_hashable(self):
         assert len({SearchOptions(), SearchOptions(),
                     SearchOptions(top_k=1)}) == 2
+
+
+class TestDocumentedFields:
+    """docs/API.md's ``SearchOptions`` table lists exactly the fields,
+    both directions."""
+
+    def test_table_matches_fields(self):
+        doc = (Path(__file__).resolve().parents[2] / "docs" /
+               "API.md").read_text(encoding="utf-8")
+        section = doc.split("## `SearchOptions`", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"^\| `([a-z_]+)` \|", section,
+                                    re.MULTILINE))
+        assert documented == {field.name for field in fields(SearchOptions)}

@@ -51,6 +51,12 @@ class TestOptionsRoundTrip:
         with pytest.raises(OptionsError, match="unknown option"):
             SearchOptions.from_dict({"algoritm": "slca"})
 
+    def test_removed_kernel_option_is_rejected(self):
+        # Cohesive evaluation has one kernel; the knob that chose
+        # between engines is gone from the wire too.
+        with pytest.raises(OptionsError, match="unknown option"):
+            SearchOptions.from_dict({"kernel": "flat"})
+
     def test_non_mapping_is_rejected(self):
         with pytest.raises(OptionsError, match="mapping"):
             SearchOptions.from_dict(["cohesive"])

@@ -62,20 +62,24 @@ def test_baseline_survives(deep_tree):
 
 
 def test_flat_kernel_survives_and_matches(deep_tree):
-    """Max-depth Dewey codes through the flat kernel: the packed-key
-    path and its subtree-template cache must handle ~5000-component
-    codes and stay byte-identical to the object engine."""
-    from repro.core.engine import evaluate_compiled
+    """Max-depth Dewey codes through the kernel: the packed-key path
+    and its subtree-template cache must handle ~5000-component codes,
+    answer like the push path, and match the reference engine."""
     from repro.core.kernel import evaluate_compiled_flat
-    from repro.core.signatures import compile_query
     from repro.core.parser import parse_query
+    from repro.core.signatures import compile_query
+    from repro.runtime import SearchSession
+
+    from tests.reference_engine import evaluate_compiled
 
     index = InvertedIndex.from_tree(deep_tree)
     compiled = compile_query(parse_query("(alpha omega)"),
                              index.tokenizer.normalize)
     lists = {kw: index.postings(kw) for kw in compiled.atoms}
     flat = evaluate_compiled_flat(compiled, lists)
-    assert flat == evaluate_compiled(compiled, lists)
+    assert SearchSession(index).search_batch(["(alpha omega)"]) == [flat]
+    assert [(r.code, r.size) for r in flat] == \
+        [(r.code, r.size) for r in evaluate_compiled(compiled, lists)]
     assert flat and flat[0].size == 2
 
 

@@ -6,23 +6,23 @@ On random small trees and random cohesive queries, all three must agree
 on the result set *and* on every LCA's size; any divergence pinpoints a
 semantics bug in exactly one layer.
 
-The kernel-differential half locks the flat evaluation kernel
-(:mod:`repro.core.kernel`) to the same contract: byte-for-byte equal to
-the object engine — codes, sizes, per-term breakdowns and every tie —
-on materialized lists, through the session under every
-algorithm × rank-mode combination, and straight off CKSIDX2 stores,
+The kernel half holds the evaluation kernel (:mod:`repro.core.kernel`)
+to the reference engine (:mod:`tests.reference_engine`) and the oracle
+on ``(code, size)`` — on materialized lists, through the session under
+every algorithm × rank-mode combination, and over CKSIDX2 stores,
 including DAG-deduped ones whose posting blocks fan back out on decode.
+Across the kernel's own entry points the answer is the full Result
+row (see also tests/test_entry_point_parity.py).
 
-This suite is also wired as a dedicated CI matrix entry (see
-.github/workflows/ci.yml, which runs it under both ``REPRO_KERNEL``
-settings) so it cannot be skipped silently.
+This suite is also wired as a dedicated CI job (see
+.github/workflows/ci.yml) so it cannot be skipped silently.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import evaluate, evaluate_compiled
-from repro.core.kernel import evaluate_compiled_flat, evaluate_flat_on_store
+from repro.core.engine import evaluate
+from repro.core.kernel import evaluate_compiled_flat
 from repro.core.lattice_machine import lattice_machine_evaluate
 from repro.core.semantics import brute_force_evaluate
 from repro.core.signatures import compile_query
@@ -33,6 +33,11 @@ from repro.runtime import ALGORITHMS, RANK_MODES, SearchSession
 
 from tests.core.test_engine_oracle import queries, trees
 from tests.oracle import oracle_search
+from tests.reference_engine import evaluate_compiled
+
+
+def _pairs(results):
+    return [(r.code, r.size) for r in results]
 
 
 @given(trees(), queries())
@@ -93,73 +98,61 @@ def test_lazy_store_roundtrip_preserves_results(tmp_path_factory, tree,
 
 @given(trees(), queries())
 @settings(max_examples=120)
-def test_flat_kernel_byte_identical_to_engine_and_oracle(tree, query):
-    """Flat kernel == object engine == oracle, full Result equality.
-
-    Result rows carry code, size and the per-term breakdown vector;
-    comparing whole rows (not just (code, size)) pins every tie-break
-    and every breakdown the kernel interns.
-    """
+def test_flat_kernel_matches_reference_and_oracle(tree, query):
+    """Kernel == reference engine == oracle on ``(code, size)``, with
+    and without a size budget; the budgeted answer is the unbudgeted
+    one filtered, row for row."""
     index = InvertedIndex.from_tree(tree)
     compiled = compile_query(query, index.tokenizer.normalize)
     lists = {kw: index.postings(kw) for kw in compiled.atoms}
-    object_results = evaluate_compiled(compiled, lists)
     flat_results = evaluate_compiled_flat(compiled, lists)
-    assert flat_results == object_results
-    assert [(r.code, r.size) for r in flat_results] == \
+    assert _pairs(flat_results) == \
+        _pairs(evaluate_compiled(compiled, lists)) == \
         oracle_search(tree, query)
-    # A size budget prunes identically on both sides.
-    if object_results:
-        budget = object_results[len(object_results) // 2].size
-        assert evaluate_compiled_flat(compiled, lists,
-                                      size_budget=budget) == \
-            evaluate_compiled(compiled, lists, size_budget=budget)
+    if flat_results:
+        budget = flat_results[len(flat_results) // 2].size
+        budgeted = evaluate_compiled_flat(compiled, lists,
+                                          size_budget=budget)
+        assert budgeted == [r for r in flat_results if r.size <= budget]
+        assert _pairs(budgeted) == _pairs(
+            evaluate_compiled(compiled, lists, size_budget=budget))
 
 
 @given(trees(), queries())
 @settings(max_examples=30, deadline=None)
 def test_kernel_parity_across_algorithms_and_rank_modes(tree, query):
-    """kernel='flat' vs 'object' through the session facade.
-
-    Every algorithm (the non-cohesive ones ignore the knob — that
-    indifference is part of the contract) and, for the cohesive
-    engine, every rank mode and the top-k loop.
-    """
+    """``search`` == ``search_batch`` through the session facade for
+    every algorithm and, for the cohesive engine, every rank mode;
+    the top-k loop returns the ranking's head."""
     index = InvertedIndex.from_tree(tree)
     session = SearchSession(index)
     for algorithm in ALGORITHMS:
-        assert session.search(query, algorithm=algorithm,
-                              kernel="flat") == \
-            session.search(query, algorithm=algorithm, kernel="object")
+        assert session.search_batch([query], algorithm=algorithm) == \
+            [session.search(query, algorithm=algorithm)]
     for rank in RANK_MODES:
-        assert session.search(query, rank=rank, kernel="flat") == \
-            session.search(query, rank=rank, kernel="object")
-    assert session.search(query, top_k=2, kernel="flat") == \
-        session.search(query, top_k=2, kernel="object")
+        assert session.search_batch([query], rank=rank) == \
+            [session.search(query, rank=rank)]
+    assert session.search(query, top_k=2) == session.search(query)[:2]
 
 
 @given(trees(), queries())
 @settings(max_examples=40)
 def test_dedup_store_evaluates_byte_identically(tmp_path_factory, tree,
                                                 query):
-    """The DAG-deduped store changes bytes on disk, never answers.
-
-    Both read paths are pinned: the lazy mapping (session search over
-    the expanded postings) and the kernel's zero-copy block-view
-    decode (:func:`evaluate_flat_on_store`), each against the object
-    engine on the plain index and against the oracle.
-    """
+    """The DAG-deduped store changes bytes on disk, never answers:
+    its lazy mapping decodes the plain index's postings, so a session
+    over it returns the plain session's rows exactly — and the
+    reference engine's and the oracle's ``(code, size)``."""
     index = InvertedIndex.from_tree(tree)
-    expected = oracle_search(tree, query)
     path = tmp_path_factory.mktemp("dedup-store") / "t.idx2"
     save_index_v2_dedup(index, path)
     compiled = compile_query(query, index.tokenizer.normalize)
     lists = {kw: index.postings(kw) for kw in compiled.atoms}
-    object_results = evaluate_compiled(compiled, lists)
     with load_index_v2(path) as lazy:
         for kw in index.raw_postings():
             assert lazy.postings(kw) == index.postings(kw)
         session_results = SearchSession(lazy).search(query)
-        assert evaluate_flat_on_store(compiled, lazy) == object_results
-    assert session_results == object_results
-    assert [(r.code, r.size) for r in session_results] == expected
+    assert session_results == SearchSession(index).search(query)
+    assert _pairs(session_results) == \
+        _pairs(evaluate_compiled(compiled, lists)) == \
+        oracle_search(tree, query)
