@@ -16,8 +16,10 @@ workload through one :class:`SearchSession`):
 * **active** — a live :class:`MetricsRegistry` in scope, counters,
   histograms and spans all recording.  Must cost < 15% over null.
 * **profiled** — the active configuration with the continuous
-  profiling layer on top: a 50 hz :class:`StackSampler` and a
-  1-second :class:`ResourceWatchdog` running on their daemon threads.
+  profiling layer on top, started through ``SearchSession.serving``:
+  a 50 hz :class:`StackSampler` and a 1-second
+  :class:`TimeSeriesStore` (the process's one resource sampler)
+  running on their daemon threads.
   Must cost < 10% over the metrics-only active baseline — the
   always-on-in-production promise of docs/OBSERVABILITY.md's
   "Continuous profiling" section.
@@ -34,11 +36,17 @@ workload through one :class:`SearchSession`):
   active baseline — the scrape loop reads registry snapshots off the
   hot path, so its cost must be noise.
 
-Timings use min-of-rounds (the standard noise-robust estimator for
-"how fast can this go"); each round runs the whole workload.
+Each comparison runs its two configurations alternately, round by
+round (the order flipping every round), and asserts on the median of
+the per-round ratios: a load spike on a shared host slows both halves
+of a round alike, so the ratio stays steady where the minimum of each
+configuration's own rounds does not.  Each round runs the whole
+workload once per configuration.
 """
 
+import statistics
 import time
+from contextlib import contextmanager
 
 import repro.core.engine as engine_mod
 import repro.core.kernel as kernel_mod
@@ -60,14 +68,13 @@ _INSTRUMENTED_MODULES = (engine_mod, kernel_mod, lattice_mod, machine_mod,
                          inverted_mod, session_mod)
 
 PATTERNS = ["(xx)", "(x(xx))", "((xx)(xx))"]
-ROUNDS = 7
+ROUNDS = 21
 NULL_TOLERANCE = 0.05
 ACTIVE_TOLERANCE = 0.15
 PROFILED_TOLERANCE = 0.10
 WIDE_TOLERANCE = 0.10
 SERIES_TOLERANCE = 0.05
 SAMPLER_HZ = 50
-WATCHDOG_INTERVAL = 1.0
 SERIES_INTERVAL = 1.0
 
 
@@ -79,21 +86,37 @@ def _workload(index):
             for pattern in PATTERNS for _ in range(4)]
 
 
-def _time_workload(session, queries, rounds=ROUNDS):
-    """Min-of-rounds wall time of running every query once.
+def _paired_ratio(session, queries, baseline, treatment,
+                  rounds=ROUNDS):
+    """Median per-round ``treatment / baseline`` wall-time ratio.
 
-    The plan / posting caches are warmed first so every round does the
-    same work (the engine still evaluates each query; only parsing and
-    posting fetch hit the caches)."""
-    for query in queries:
-        session.search(query)
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for query in queries:
-            session.search(query)
-        best = min(best, time.perf_counter() - start)
-    return best
+    ``baseline`` and ``treatment`` are zero-argument context-manager
+    factories; each round enters one, runs every query once, then the
+    other, flipping the order every round.  The plan / posting caches
+    are warmed first so every round does the same work (the engine
+    still evaluates each query; only parsing and posting fetch hit the
+    caches).  Returns ``(median ratio, baseline best, treatment
+    best)``, the bests being min-of-rounds seconds for the report."""
+    for configuration in (baseline, treatment):
+        with configuration():
+            for query in queries:
+                session.search(query)
+    ratios = []
+    best = {baseline: float("inf"), treatment: float("inf")}
+    for round_number in range(rounds):
+        order = (baseline, treatment) if round_number % 2 == 0 \
+            else (treatment, baseline)
+        elapsed = {}
+        for configuration in order:
+            with configuration():
+                start = time.perf_counter()
+                for query in queries:
+                    session.search(query)
+                elapsed[configuration] = time.perf_counter() - start
+            best[configuration] = min(best[configuration],
+                                      elapsed[configuration])
+        ratios.append(elapsed[treatment] / elapsed[baseline])
+    return statistics.median(ratios), best[baseline], best[treatment]
 
 
 class _NoScope:
@@ -129,81 +152,97 @@ class _Stubbed:
         return False
 
 
+@contextmanager
+def _stubbed():
+    with _NoScope(), _Stubbed():
+        yield
+
+
+@contextmanager
+def _null():
+    with _NoScope():
+        yield
+
+
+def _overhead_row(label, seconds, ratio, versus):
+    return [label, f"{seconds * 1000:.2f}",
+            f"{(ratio - 1.0) * 100:+.1f}% vs {versus}"]
+
+
 def test_observability_overhead(benchmark, efficiency_indexes):
     _, index = efficiency_indexes["dblp"]
     session = SearchSession(index)
     queries = _workload(index)
 
     def compute():
-        with _NoScope():
-            with _Stubbed():
-                stubbed = _time_workload(session, queries)
-            null = _time_workload(session, queries)
-        with metrics_scope():
-            active = _time_workload(session, queries)
-        return stubbed, null, active
+        return (_paired_ratio(session, queries, _stubbed, _null),
+                _paired_ratio(session, queries, _null, metrics_scope))
 
-    stubbed, null, active = benchmark.pedantic(compute, rounds=1,
-                                               iterations=1)
-    null_overhead = null / stubbed - 1.0
-    active_overhead = active / null - 1.0
-    report("Observability overhead (hot loop, min of "
-           f"{ROUNDS} rounds, {len(queries)} queries/round)",
+    (null_ratio, stubbed, null), (active_ratio, _, active) = \
+        benchmark.pedantic(compute, rounds=1, iterations=1)
+    null_overhead = null_ratio - 1.0
+    active_overhead = active_ratio - 1.0
+    report("Observability overhead (hot loop, median per-round ratio "
+           f"of {ROUNDS} alternating rounds, {len(queries)} "
+           "queries/round; ms = best round)",
            format_table(
                ["configuration", "ms / round", "overhead"],
                [["stubbed (no get_metrics)",
                  f"{stubbed * 1000:.2f}", "--"],
-                ["null (shipped default)", f"{null * 1000:.2f}",
-                 f"{null_overhead * 100:+.1f}% vs stubbed"],
-                ["active registry", f"{active * 1000:.2f}",
-                 f"{active_overhead * 100:+.1f}% vs null"]]))
+                _overhead_row("null (shipped default)", null,
+                              null_ratio, "stubbed"),
+                _overhead_row("active registry", active, active_ratio,
+                              "null")]))
 
     # The shipped default must be indistinguishable from a build with
     # no observability layer, and a live registry must stay cheap.
-    assert null <= stubbed * (1.0 + NULL_TOLERANCE), \
+    assert null_ratio <= 1.0 + NULL_TOLERANCE, \
         f"null path {null_overhead * 100:.1f}% over stubbed " \
         f"(allowed {NULL_TOLERANCE * 100:.0f}%)"
-    assert active <= null * (1.0 + ACTIVE_TOLERANCE), \
+    assert active_ratio <= 1.0 + ACTIVE_TOLERANCE, \
         f"active registry {active_overhead * 100:.1f}% over null " \
         f"(allowed {ACTIVE_TOLERANCE * 100:.0f}%)"
 
 
 def test_continuous_profiling_overhead(benchmark, efficiency_indexes):
-    """A 50 hz sampler plus a 1 s watchdog must not slow the serving
-    path by more than 10% over the metrics-only baseline — the price
-    of leaving continuous profiling on for the life of a service."""
+    """A 50 hz sampler plus a 1 s time-series store must not slow the
+    serving path by more than 10% over the metrics-only baseline — the
+    price of leaving continuous profiling on for the life of a
+    service."""
     _, index = efficiency_indexes["dblp"]
     session = SearchSession(index)
     queries = _workload(index)
+    totals = {"samples": 0, "scrapes": 0}
+
+    @contextmanager
+    def profiled():
+        with metrics_scope() as registry, \
+                session.serving(cpu_profiler=SAMPLER_HZ,
+                                timeseries=SERIES_INTERVAL,
+                                registry=registry) as run:
+            yield
+        totals["samples"] += run.profiler.sample_count
+        totals["scrapes"] += run.timeseries.scrapes
 
     def compute():
-        with metrics_scope():
-            active = _time_workload(session, queries)
-        with metrics_scope() as registry:
-            session.start_watchdog(interval=WATCHDOG_INTERVAL,
-                                   registry=registry)
-            session.start_cpu_profiler(hz=SAMPLER_HZ)
-            try:
-                profiled = _time_workload(session, queries)
-            finally:
-                profiler = session.stop_cpu_profiler()
-                watchdog = session.stop_watchdog()
-        return active, profiled, profiler.sample_count, \
-            watchdog.sampled
+        return _paired_ratio(session, queries, metrics_scope, profiled)
 
-    active, profiled, samples, snaps = benchmark.pedantic(
+    ratio, active, profiled_best = benchmark.pedantic(
         compute, rounds=1, iterations=1)
-    overhead = profiled / active - 1.0
+    overhead = ratio - 1.0
     report("Continuous profiling overhead "
-           f"({SAMPLER_HZ} hz sampler + {WATCHDOG_INTERVAL:.0f} s "
-           f"watchdog, min of {ROUNDS} rounds)",
+           f"({SAMPLER_HZ} hz sampler + {SERIES_INTERVAL:.0f} s "
+           f"time-series store, median ratio of {ROUNDS} alternating "
+           "rounds)",
            format_table(
                ["configuration", "ms / round", "overhead"],
                [["active registry", f"{active * 1000:.2f}", "--"],
-                [f"+ sampler/watchdog ({samples} samples, "
-                 f"{snaps} snapshots)", f"{profiled * 1000:.2f}",
-                 f"{overhead * 100:+.1f}% vs active"]]))
-    assert profiled <= active * (1.0 + PROFILED_TOLERANCE), \
+                _overhead_row(
+                    f"+ sampler/store ({totals['samples']} samples, "
+                    f"{totals['scrapes']} scrapes)", profiled_best,
+                    ratio, "active")]))
+    assert totals["scrapes"] >= 1  # the store actually sampled
+    assert ratio <= 1.0 + PROFILED_TOLERANCE, \
         f"profiled path {overhead * 100:.1f}% over the metrics-only " \
         f"baseline (allowed {PROFILED_TOLERANCE * 100:.0f}%)"
 
@@ -219,40 +258,45 @@ def test_wide_event_slo_overhead(benchmark, efficiency_indexes,
     _, index = efficiency_indexes["dblp"]
     session = SearchSession(index)
     queries = _workload(index)
+    sink = JsonlSink(tmp_path / "wide.jsonl", max_bytes=64 * 1024 * 1024)
+    engine = SLOEngine(sink=sink)
+    recorder = FlightRecorder(slo=engine)
 
-    def compute():
+    @contextmanager
+    def wide():
         with metrics_scope():
-            active = _time_workload(session, queries)
-        sink = JsonlSink(tmp_path / "wide.jsonl",
-                         max_bytes=64 * 1024 * 1024)
-        with metrics_scope() as registry:
-            engine = SLOEngine(registry=registry, sink=sink)
-            recorder = FlightRecorder(registry=registry, slo=engine)
             session.attach_event_sink(sink)
             session.attach_flight_recorder(recorder)
             session.attach_slo_engine(engine)
             try:
-                wide = _time_workload(session, queries)
+                yield
             finally:
                 session.attach_slo_engine(None)
                 session.attach_flight_recorder(None)
                 session.attach_event_sink(None)
-                sink.close()
-        return active, wide, engine.recorded, recorder.ring.recorded
 
-    active, wide, evaluated, ringed = benchmark.pedantic(
+    def compute():
+        try:
+            return _paired_ratio(session, queries, metrics_scope, wide)
+        finally:
+            sink.close()
+
+    ratio, active, wide_best = benchmark.pedantic(
         compute, rounds=1, iterations=1)
-    overhead = wide / active - 1.0
+    overhead = ratio - 1.0
+    evaluated, ringed = engine.recorded, recorder.ring.recorded
     report("Wide-event + SLO pipeline overhead "
-           f"(sink + ring + burn rates, min of {ROUNDS} rounds)",
+           "(sink + ring + burn rates, median ratio of "
+           f"{ROUNDS} alternating rounds)",
            format_table(
                ["configuration", "ms / round", "overhead"],
                [["active registry", f"{active * 1000:.2f}", "--"],
-                [f"+ wide events/SLO ({evaluated} evaluated, "
-                 f"{ringed} ringed)", f"{wide * 1000:.2f}",
-                 f"{overhead * 100:+.1f}% vs active"]]))
+                _overhead_row(
+                    f"+ wide events/SLO ({evaluated} evaluated, "
+                    f"{ringed} ringed)", wide_best, ratio,
+                    "active")]))
     assert evaluated == ringed > 0  # every query produced one event
-    assert wide <= active * (1.0 + WIDE_TOLERANCE), \
+    assert ratio <= 1.0 + WIDE_TOLERANCE, \
         f"wide-event pipeline {overhead * 100:.1f}% over the " \
         f"metrics-only baseline (allowed {WIDE_TOLERANCE * 100:.0f}%)"
 
@@ -267,30 +311,34 @@ def test_timeseries_scrape_overhead(benchmark, efficiency_indexes):
     _, index = efficiency_indexes["dblp"]
     session = SearchSession(index)
     queries = _workload(index)
+    totals = {"scrapes": 0, "series": 0}
 
-    def compute():
-        with metrics_scope():
-            active = _time_workload(session, queries)
+    @contextmanager
+    def scraped():
         with metrics_scope() as registry:
             with TimeSeriesStore(SERIES_INTERVAL,
                                  registry=registry) as store:
-                scraped = _time_workload(session, queries)
-                tracked = len(store)
-        return active, scraped, store.scrapes, tracked
+                yield
+        totals["scrapes"] += store.scrapes
+        totals["series"] = max(totals["series"], len(store))
 
-    active, scraped, scrapes, tracked = benchmark.pedantic(
+    def compute():
+        return _paired_ratio(session, queries, metrics_scope, scraped)
+
+    ratio, active, scraped_best = benchmark.pedantic(
         compute, rounds=1, iterations=1)
-    overhead = scraped / active - 1.0
+    overhead = ratio - 1.0
     report("Time-series scrape overhead "
-           f"({SERIES_INTERVAL:.0f} s interval, min of {ROUNDS} "
-           f"rounds)",
+           f"({SERIES_INTERVAL:.0f} s interval, median ratio of "
+           f"{ROUNDS} alternating rounds)",
            format_table(
                ["configuration", "ms / round", "overhead"],
                [["active registry", f"{active * 1000:.2f}", "--"],
-                [f"+ scrape loop ({scrapes} scrapes, {tracked} "
-                 f"series)", f"{scraped * 1000:.2f}",
-                 f"{overhead * 100:+.1f}% vs active"]]))
-    assert scrapes >= 1 and tracked > 0  # the loop actually sampled
-    assert scraped <= active * (1.0 + SERIES_TOLERANCE), \
+                _overhead_row(
+                    f"+ scrape loop ({totals['scrapes']} scrapes, "
+                    f"{totals['series']} series)", scraped_best, ratio,
+                    "active")]))
+    assert totals["scrapes"] >= 1 and totals["series"] > 0
+    assert ratio <= 1.0 + SERIES_TOLERANCE, \
         f"scrape loop {overhead * 100:.1f}% over the metrics-only " \
         f"baseline (allowed {SERIES_TOLERANCE * 100:.0f}%)"

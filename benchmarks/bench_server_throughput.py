@@ -75,8 +75,7 @@ def test_server_throughput(store_path, run_metrics):
     latencies, failures = [], []
     lock = threading.Lock()
     with SearchServer(session, workers=4, queue_limit=64,
-                      registry=run_metrics,
-                      watchdog_interval=None) as server:
+                      registry=run_metrics) as server:
 
         def client(offset):
             mine, bad = [], []
@@ -130,8 +129,7 @@ def test_overload_sheds_load_and_never_hangs(store_path, run_metrics,
     statuses = []
     lock = threading.Lock()
     with SearchServer(session, workers=1, queue_limit=1,
-                      registry=run_metrics,
-                      watchdog_interval=None) as server:
+                      registry=run_metrics) as server:
 
         def fire():
             status, _ = _post_search(server.url, QUERIES[0])

@@ -16,8 +16,8 @@ Subcommands::
 (``--format v1`` keeps the legacy layout); ``index merge`` compacts a
 segmented v2 store — or upgrades a v1 store — in place or to
 ``--output``; ``index inspect`` prints format, segments, tombstones and
-dead bytes (docs/INDEX_FORMAT.md).  The bare legacy spelling
-``index DOC.xml IDX`` still works as an alias of ``index build``, and
+dead bytes (docs/INDEX_FORMAT.md).  The bare spelling ``index DOC.xml
+IDX`` is a usage error (exit 2): name the ``build`` subcommand.
 ``search --index`` autodetects either format on its magic.
 
 ``search`` accepts ``--index`` to reuse a prebuilt store, ``--top`` to
@@ -49,11 +49,11 @@ takes ``--slow-query-ms N`` (capture profiles of queries at or above
 the threshold), ``--events-jsonl PATH`` (one schema-versioned JSONL
 event per query/batch), ``--telemetry-port N`` /
 ``--telemetry-linger S`` (serve ``/metrics``, ``/healthz``,
-``/profilez``, ``/tracez``, ``/flamez``, ``/resourcez``, ``/sloz``,
-``/debugz`` and ``/seriesz`` over HTTP during — and ``S`` seconds
-past — the run; a resource watchdog snapshots RSS/fds/gauges for
-``/resourcez`` while the endpoint is up and a 1s time-series scrape
-loop feeds ``/seriesz``), ``top URL`` (``--once`` for a single
+``/profilez``, ``/tracez``, ``/flamez``, ``/sloz``, ``/debugz`` and
+``/seriesz`` over HTTP during — and ``S`` seconds past — the run; a
+1s time-series scrape loop samples the registry and the process's
+RSS/fds/threads into ``/seriesz`` while the endpoint is up),
+``top URL`` (``--once`` for a single
 frame) renders the ``/seriesz`` history as a live sparkline console,
 ``--trace-dir DIR`` (write one Perfetto-loadable
 Chrome trace
@@ -273,13 +273,12 @@ def _build_parser() -> argparse.ArgumentParser:
                            type=float, default=30.0, metavar="SECONDS",
                            help="default per-request wall budget; "
                                 "expiry replies 504 (default 30)")
-    serve_cmd.add_argument("--no-watchdog", dest="watchdog",
-                           action="store_false",
-                           help="skip the 1s resource watchdog")
     serve_cmd.add_argument("--series-interval", dest="series_interval",
                            type=float, default=1.0, metavar="SECONDS",
                            help="scrape interval of the /seriesz "
-                                "time-series store (default 1; 0 "
+                                "time-series store, which also samples "
+                                "RSS/fds/threads and checks the "
+                                "in-flight budget (default 1; 0 "
                                 "disables it)")
     serve_cmd.add_argument("--slow-query-ms", dest="slow_query_ms",
                            type=float, default=None, metavar="MS",
@@ -593,10 +592,10 @@ def _run_search(args: argparse.Namespace,
         serving_kwargs["registry"] = registry
         # the full diagnostics surface rides along with telemetry:
         # wide events feed default objectives and the flight ring, so
-        # /sloz, /debugz and /seriesz are live for the run's duration
+        # /sloz, /debugz and /seriesz (telemetry's default 1s store)
+        # are live for the run's duration
         serving_kwargs["slo"] = True
         serving_kwargs["flight"] = True
-        serving_kwargs["timeseries"] = True
     try:
         with session.serving(**serving_kwargs) as run:
             if run.telemetry is not None:
@@ -604,7 +603,7 @@ def _run_search(args: argparse.Namespace,
                 # discover the bound port before the search finishes
                 print(f"-- telemetry on {run.telemetry.url} "
                       f"(/metrics /healthz /profilez /tracez /flamez "
-                      f"/resourcez /sloz /debugz /seriesz)", flush=True)
+                      f"/sloz /debugz /seriesz)", flush=True)
             if args.flame_out:
                 with session.profile_cpu(hz=args.profile_hz) as sampler:
                     status = _run_queries(args, session, options, tree)
@@ -728,7 +727,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     serve(args.store, port=args.port, host=args.host,
           workers=args.workers, queue_limit=args.queue_limit,
           request_timeout=args.request_timeout,
-          watchdog_interval=1.0 if args.watchdog else None,
           slow_query_ms=args.slow_query_ms,
           events_jsonl=args.events_jsonl,
           slo=args.slo if args.slo else True,
@@ -953,26 +951,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-_INDEX_SUBCOMMANDS = ("build", "merge", "inspect")
-
-
-def _normalize_argv(argv: Sequence[str]) -> list[str]:
-    """Keep the pre-subcommand spelling ``index DOC.xml IDX`` working
-    as an alias of ``index build DOC.xml IDX``."""
-    argv = list(argv)
-    if len(argv) >= 2 and argv[0] == "index" and \
-            argv[1] not in _INDEX_SUBCOMMANDS and \
-            argv[1] not in ("-h", "--help"):
-        _log.warning("'index DOC OUT' is deprecated; use "
-                     "'index build DOC OUT'")
-        argv.insert(1, "build")
-    return argv
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:  # pragma: no cover - process entry
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_normalize_argv(argv))
+    args = _build_parser().parse_args(argv)
     handlers = {
         "index": _cmd_index,
         "search": _cmd_search,

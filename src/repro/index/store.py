@@ -23,6 +23,7 @@ Layout::
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 from typing import BinaryIO, Union
 
@@ -68,10 +69,21 @@ def read_varint(data: BinaryIO) -> int:
             raise StoreFormatError("varint too long")
 
 
+def replace_file(path: PathLike, blob: bytes) -> None:
+    """Write ``blob`` to a sibling temp file and ``os.replace`` it over
+    ``path``, so a reader that has the old file mmap'd keeps its old
+    bytes instead of faulting on a truncated mapping."""
+    target = Path(path)
+    scratch = target.with_name(target.name + ".tmp")
+    scratch.write_bytes(blob)
+    os.replace(scratch, target)
+
+
 def save_index(index: InvertedIndex, path: PathLike) -> int:
-    """Persist ``index`` to ``path``; returns the number of bytes written."""
+    """Persist ``index`` to ``path`` (atomically, via
+    :func:`replace_file`); returns the number of bytes written."""
     blob = encode_index(index)
-    Path(path).write_bytes(blob)
+    replace_file(path, blob)
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("store_bytes_written", len(blob))

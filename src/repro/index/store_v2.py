@@ -98,7 +98,7 @@ from repro.errors import StoreFormatError
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.store import MAGIC as MAGIC_V1
 from repro.index.store import load_index as _load_index_v1
-from repro.index.store import write_varint
+from repro.index.store import replace_file, write_varint
 from repro.index.tokenizer import Tokenizer, default_tokenizer
 from repro.obs import get_logger, get_metrics
 from repro.tree import dewey
@@ -810,10 +810,10 @@ def encode_index_v2(index: Union[InvertedIndex,
 
 
 def save_index_v2(index: InvertedIndex, path: PathLike) -> int:
-    """Persist ``index`` at ``path`` in the v2 format; returns bytes
-    written."""
+    """Persist ``index`` at ``path`` in the v2 format (atomically, via
+    :func:`~repro.index.store.replace_file`); returns bytes written."""
     blob = encode_index_v2(index)
-    Path(path).write_bytes(blob)
+    replace_file(path, blob)
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("store_bytes_written", len(blob))
@@ -982,10 +982,10 @@ def encode_index_v2_dedup(index: Union[InvertedIndex,
 
 def save_index_v2_dedup(index: InvertedIndex, path: PathLike,
                         min_postings: int = 2) -> int:
-    """Persist ``index`` at ``path`` with subtree deduplication;
-    returns bytes written."""
+    """Persist ``index`` at ``path`` with subtree deduplication
+    (atomically); returns bytes written."""
     blob = encode_index_v2_dedup(index, min_postings)
-    Path(path).write_bytes(blob)
+    replace_file(path, blob)
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("store_bytes_written", len(blob))
@@ -1138,9 +1138,7 @@ def merge_index(path: PathLike, output: Optional[PathLike] = None,
             "version")
     blob = encode_index_v2_dedup(merged) if dedup \
         else encode_index_v2(merged)
-    scratch = target.with_name(target.name + ".merge.tmp")
-    scratch.write_bytes(blob)
-    os.replace(scratch, target)
+    replace_file(target, blob)
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("segment_merges")

@@ -47,15 +47,14 @@ from repro.obs.slo import (DEFAULT_OBJECTIVES, SLO_GAUGES,
                            SLOEngine, parse_objective)
 from repro.obs.timeseries import (ANOMALY_EVENT_FIELDS, SERIES_FIELDS,
                                   SERIES_SCHEMA_VERSION,
-                                  AnomalyDetector, TimeSeriesStore,
-                                  counter_rates)
+                                  WATCHDOG_GAUGES, AnomalyDetector,
+                                  TimeSeriesStore, counter_rates)
 from repro.obs.trace import Span, aggregate_phases, render_spans
 from repro.obs.tracing import (NULL_TRACER, TRACE_ATTRIBUTES, NullTracer,
                                Tracer, TraceSpan, activate_wire,
                                current_trace_wire, get_tracer,
                                recent_traces, set_global_tracer,
                                trace_scope)
-from repro.obs.watchdog import WATCHDOG_GAUGES, ResourceWatchdog
 from repro.obs.wideevent import (WIDE_EVENT_FIELDS, WIDE_EVENT_OUTCOMES,
                                  WIDE_EVENT_SCHEMA_VERSION, EventRing,
                                  wide_event)
@@ -83,7 +82,6 @@ __all__ = [
     "Objective",
     "PROFILE_SCHEMA_VERSION",
     "QueryProfile",
-    "ResourceWatchdog",
     "SERIES_FIELDS",
     "SERIES_SCHEMA_VERSION",
     "SLOEngine",

@@ -3,10 +3,11 @@
 A production incident's first question is "what was the system doing
 right before it misbehaved".  The :class:`FlightRecorder` answers it
 with a **bounded, always-on** record — the newest wide events
-(:class:`~repro.obs.wideevent.EventRing`), periodic gauge snapshots
-(fed by the resource watchdog's sampling loop), and the tracer's
-recent trace digests — that :meth:`~FlightRecorder.bundle` folds into
-one self-contained, schema-versioned JSON document on demand.
+(:class:`~repro.obs.wideevent.EventRing`), the gauge history of the
+attached :class:`~repro.obs.timeseries.TimeSeriesStore`, and the
+tracer's recent trace digests — that :meth:`~FlightRecorder.bundle`
+folds into one self-contained, schema-versioned JSON document on
+demand.
 
 Bundles are produced four ways (docs/OBSERVABILITY.md, "Diagnostic
 bundles"):
@@ -18,8 +19,8 @@ bundles"):
   byte-for-byte;
 * on SLO page-state — the :class:`~repro.obs.slo.SLOEngine` wires
   its ``on_page`` hook to :meth:`~FlightRecorder.trigger`;
-* on watchdog breach — :class:`~repro.obs.watchdog.ResourceWatchdog`
-  triggers a dump alongside its ``resource_breach`` event;
+* on budget breach — the time-series store's scrape triggers a
+  ``watchdog_breach`` dump alongside its ``resource_breach`` event;
 * on series anomaly — the time-series store's
   :class:`~repro.obs.timeseries.AnomalyDetector` triggers a dump
   alongside its ``series_anomaly`` event.
@@ -34,7 +35,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -45,7 +45,7 @@ from repro.obs.wideevent import EventRing
 _log = get_logger("obs.flight")
 
 #: Version of the diagnostic-bundle shape; bump on incompatible changes.
-FLIGHT_SCHEMA_VERSION = 1
+FLIGHT_SCHEMA_VERSION = 2
 
 #: Top-level field catalogue of one ``/debugz`` bundle
 #: (docs/OBSERVABILITY.md; drift-tested).
@@ -74,8 +74,6 @@ class FlightRecorder:
     ----------
     capacity:
         Wide-event ring bound (an owned :class:`EventRing`).
-    gauge_capacity:
-        Gauge-snapshot ring bound (one entry per watchdog tick).
     clock:
         Injectable time source (deterministic bundles in tests).
     registry:
@@ -95,17 +93,20 @@ class FlightRecorder:
     auto_interval:
         Minimum seconds between *automatic* dumps (``slo_page`` /
         ``watchdog_breach``); on-demand triggers are never throttled.
+
+    The serving wiring sets :attr:`timeseries` to its
+    :class:`~repro.obs.timeseries.TimeSeriesStore` (the way it sets
+    :attr:`slo`); the store's raw ``gauge:*`` series become the
+    bundle's ``gauge_snapshots``.
     """
 
-    def __init__(self, capacity: int = 256, gauge_capacity: int = 64, *,
+    def __init__(self, capacity: int = 256, *,
                  clock: Callable[[], float] = time.time,
                  registry=None,
                  traces_provider: Optional[Callable[[], list]] = None,
                  slo=None,
                  dump_dir=None,
                  auto_interval: float = 30.0):
-        if gauge_capacity < 1:
-            raise ValueError("gauge_capacity must be >= 1")
         self.ring = EventRing(capacity)
         self._clock = clock
         self._registry = registry
@@ -114,11 +115,10 @@ class FlightRecorder:
             traces_provider = recent_traces
         self._traces_provider = traces_provider
         self.slo = slo
+        self.timeseries = None
         self.dump_dir = Path(dump_dir) if dump_dir is not None else None
         self.auto_interval = auto_interval
         self._lock = threading.Lock()
-        self._gauges: deque[dict] = deque(maxlen=gauge_capacity)
-        self._snapped = 0  # lifetime gauge snapshots taken
         self.dumped = 0  # lifetime trigger() bundles
         self.last_reason: Optional[str] = None
         self._last_auto: Optional[float] = None
@@ -133,25 +133,14 @@ class FlightRecorder:
         """Append one wide event to the always-on ring."""
         self.ring.record(event)
 
-    def snap_gauges(self, gauges: Optional[dict] = None,
-                    timestamp: Optional[float] = None) -> None:
-        """Append one gauge snapshot (the watchdog calls this each
-        tick; pass ``gauges`` to reuse an already-read registry view)."""
-        if gauges is None:
-            metrics = self._metrics()
-            gauges = {name: data["value"] for name, data in
-                      getattr(metrics, "gauges", {}).items()}
-        if timestamp is None:
-            timestamp = self._clock()
-        with self._lock:
-            self._gauges.append({"timestamp": timestamp,
-                                 "gauges": dict(gauges)})
-            self._snapped += 1
-
-    def gauge_snapshots(self) -> list[dict]:
-        """The retained gauge snapshots, oldest first."""
-        with self._lock:
-            return [dict(entry) for entry in self._gauges]
+    def gauge_snapshots(self, now: Optional[float] = None) -> dict:
+        """The attached store's raw ``gauge:*`` series — the
+        ``series`` field of ``/seriesz?name=gauge:&resolution=raw`` —
+        or ``{}`` without a store."""
+        if self.timeseries is None:
+            return {}
+        return self.timeseries.as_json(now, name="gauge:",
+                                       resolution="raw")["series"]
 
     # -- dumping -------------------------------------------------------------
 
@@ -178,7 +167,7 @@ class FlightRecorder:
             "reason": reason,
             "events": self.ring.events(),
             "event_stats": self.ring.stats(),
-            "gauge_snapshots": self.gauge_snapshots(),
+            "gauge_snapshots": self.gauge_snapshots(now),
             "traces": traces,
             "counters": counters,
             "slo": self.slo.as_json(now) if self.slo is not None
@@ -220,6 +209,5 @@ class FlightRecorder:
         with self._lock:
             return {"dumped": self.dumped,
                     "last_reason": self.last_reason,
-                    "gauge_snapshots": self._snapped,
                     **{f"ring_{key}": value for key, value in
                        self.ring.stats().items()}}

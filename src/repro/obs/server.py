@@ -3,8 +3,8 @@
 A :class:`TelemetryServer` is a stdlib :class:`http.server.
 ThreadingHTTPServer` running on a daemon thread, exposing a long-lived
 process (typically a :class:`~repro.runtime.session.SearchSession`
-started with :meth:`~repro.runtime.session.SearchSession.
-serve_telemetry`) to scrapers:
+inside :meth:`~repro.runtime.session.SearchSession.serving`) to
+scrapers:
 
 * ``GET /metrics``  — the active registry's snapshot in OpenMetrics
   text exposition (:func:`repro.obs.export.to_openmetrics`), with the
@@ -19,14 +19,13 @@ serve_telemetry`) to scrapers:
   tracer, newest first;
 * ``GET /flamez``   — the continuous profiler's aggregated stacks in
   collapsed (folded) text form, ready for any flamegraph tool;
-* ``GET /resourcez`` — the resource watchdog's snapshot/breach rings
-  as JSON (RSS, fds, threads, gauge levels over time);
 * ``GET /sloz``     — the SLO engine's burn-rate document (objective
   states, per-window burn rates, breach history);
 * ``GET /debugz``   — the flight recorder's self-contained diagnostic
-  bundle (recent wide events, gauge snapshots, trace digests);
+  bundle (recent wide events, gauge history, trace digests);
 * ``GET /seriesz``  — the time-series store's multi-resolution metric
-  history (``?name=&window=&resolution=`` filtered).
+  history, resource levels included (``?name=&window=&resolution=``
+  filtered; ``?name=resource:`` selects RSS, fds and threads).
 
 The server pulls — every request calls the provider callables handed
 to the constructor — so the serving hot path never pushes anything:
@@ -78,11 +77,6 @@ class TelemetryServer:
         ``/flamez`` (wire
         :meth:`repro.obs.sampler.StackSampler.to_collapsed` here;
         defaults to an empty profile).
-    resources_provider:
-        Optional callable returning the JSON-ready dict served on
-        ``/resourcez`` (wire
-        :meth:`repro.obs.watchdog.ResourceWatchdog.as_json` here;
-        defaults to an empty document).
     slo_provider:
         Optional callable returning the JSON-ready dict served on
         ``/sloz`` (wire :meth:`repro.obs.slo.SLOEngine.as_json`
@@ -111,7 +105,6 @@ class TelemetryServer:
                  profiles_provider: Optional[Callable[[], list]] = None,
                  traces_provider: Optional[Callable[[], list]] = None,
                  flame_provider: Optional[Callable[[], str]] = None,
-                 resources_provider: Optional[Callable[[], dict]] = None,
                  slo_provider: Optional[Callable[[], dict]] = None,
                  debug_provider: Optional[Callable[[], dict]] = None,
                  series_provider: Optional[Callable[[], object]] = None,
@@ -137,11 +130,6 @@ class TelemetryServer:
         self._routes.add("/flamez", text_route(
             (lambda: flame_provider())
             if flame_provider is not None else (lambda: "")))
-        self._routes.add("/resourcez", json_route(
-            (lambda: resources_provider())
-            if resources_provider is not None
-            else (lambda: {"snapshots": [], "breaches": []}),
-            sort_keys=False))
         if slo_provider is not None:
             self._routes.add("/sloz", json_route(slo_provider))
         if debug_provider is not None:

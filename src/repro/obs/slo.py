@@ -264,7 +264,8 @@ class SLOEngine:
     sink:
         Optional :class:`~repro.obs.export.JsonlSink`; every
         transition into ``page`` emits one ``slo_breach`` event (the
-        same sink the resource watchdog reports breaches to).
+        same sink the time-series store reports resource-budget
+        breaches to).
     on_page:
         Optional callable ``(objective, info_dict)`` fired on every
         transition into ``page`` — wire the flight recorder's

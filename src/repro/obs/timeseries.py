@@ -1,20 +1,27 @@
 """Bounded in-process time series over the metrics registry.
 
 Every other observability surface answers "what is the value *right
-now*": ``/metrics`` is the instantaneous registry, ``/resourcez`` a
-short resource ring, ``/sloz`` the current burn rates.  The
-:class:`TimeSeriesStore` adds the layer between raw counters and a
-dashboard — **history** — without growing without bound:
+now*": ``/metrics`` is the instantaneous registry, ``/sloz`` the
+current burn rates.  The :class:`TimeSeriesStore` adds the layer
+between raw counters and a dashboard — **history** — without growing
+without bound, and it is the process's only sampler:
 
-* a daemon scrape loop (the :class:`~repro.obs.watchdog.
-  ResourceWatchdog` thread pattern) samples the active
+* a daemon scrape loop samples the active
   :class:`~repro.obs.metrics.MetricsRegistry` at a fixed interval:
   counters become per-second **rates** (``counter:<name>``), gauges
   become **levels** (``gauge:<name>``), histogram quantiles become
-  levels (``hist:<name>:p50`` / ``hist:<name>:p99``), and the
-  process-level probes of the watchdog become ``resource:<name>``
-  levels (SLO burn rates ride along as the engine's
-  ``gauge:slo_worst_burn_rate``);
+  levels (``hist:<name>:p50`` / ``hist:<name>:p99``), and the process
+  probes (resident set size, open file descriptors, threads) become
+  ``resource:<name>`` levels (SLO burn rates ride along as the
+  engine's ``gauge:slo_worst_burn_rate``);
+* each scrape republishes the probes as the :data:`WATCHDOG_GAUGES`
+  and checks them against optional **soft budgets** (``max_rss_mb``,
+  ``max_fds``, ``max_threads``, ``max_cache_bytes`` or
+  ``gauge:<name>``).  A breach stops nothing — these are early-warning
+  thresholds, not limits — but it bumps the ``watchdog_breaches``
+  counter, emits one ``resource_breach`` event into the JSONL sink,
+  triggers a ``watchdog_breach`` flight-recorder bundle and logs a
+  WARNING;
 * every sample lands in **multi-resolution rings** — raw (one bucket
   per scrape), 10-second and 1-minute buckets, each carrying
   ``count``/``min``/``max``/``mean``/``last`` — so a console can show
@@ -22,8 +29,9 @@ dashboard — **history** — without growing without bound:
   downsampled, from the same bounded store;
 * :meth:`TimeSeriesStore.series` and the deterministic
   :meth:`TimeSeriesStore.as_json` document (served on ``/seriesz`` by
-  both HTTP surfaces, ``?name=&window=&resolution=`` filtered) are the
-  query API; :data:`SERIES_FIELDS` catalogues the document
+  both HTTP surfaces, ``?name=&window=&resolution=`` filtered; a name
+  ending in ``:`` selects a whole family such as ``resource:``) are
+  the query API; :data:`SERIES_FIELDS` catalogues the document
   (docs/OBSERVABILITY.md, drift-tested).
 
 Memory is strictly bounded.  Every ring is a ``deque(maxlen=...)`` and
@@ -39,18 +47,23 @@ raw buckets, bumps the ``timeseries_anomalies`` counter, emits one
 ``series_anomaly`` event per finding into the JSONL sink and triggers
 a ``series_anomaly`` flight-recorder bundle — so a p99 climbing or an
 RSS step lands in the same diagnostic pipeline as an SLO page.
+
+The process probes read ``/proc/self`` on Linux and degrade gracefully
+elsewhere (no point rather than an error), mirroring the platform
+handling of :func:`repro.obs.bench.peak_rss_kb`.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import time
+import tracemalloc
 from collections import deque
 from typing import Callable, Optional
 
 from repro.obs.logconfig import get_logger
 from repro.obs.metrics import get_metrics
-from repro.obs.watchdog import current_rss_bytes, open_fd_count
 
 _log = get_logger("obs.timeseries")
 
@@ -95,8 +108,81 @@ DEFAULT_CAPACITY = {"raw": 300, "10s": 180, "1m": 120}
 #: 24-byte float objects ≈ 180 bytes on CPython 3.12) rounded up.
 BUCKET_BYTES = 208
 
+#: Gauge catalogue of the scrape's process probes (see
+#: docs/OBSERVABILITY.md): the levels it republishes into the metrics
+#: registry, in the order of the :func:`probe_process` fields.
+WATCHDOG_GAUGES = (
+    "process_rss_bytes",
+    "process_open_fds",
+    "process_threads",
+    "tracemalloc_peak_bytes",
+)
+
+#: Budget keys with a built-in meaning; anything else must use the
+#: ``gauge:<name>`` form.
+BUDGET_KEYS = ("max_rss_mb", "max_fds", "max_threads",
+               "max_cache_bytes")
+
 #: Internal bucket slots (rendered as a dict by :func:`_bucket_dict`).
 _START, _COUNT, _MIN, _MAX, _MEAN, _LAST, _ANOMALY = range(7)
+
+
+def current_rss_bytes() -> Optional[int]:
+    """The process's *current* resident set size in bytes.
+
+    Reads ``/proc/self/statm`` (Linux); falls back to the normalized
+    peak from :func:`~repro.obs.bench.peak_rss_kb` — a monotonic
+    over-estimate, but comparable — and ``None`` when neither source
+    exists.
+    """
+    try:
+        with open("/proc/self/statm", encoding="ascii") as statm:
+            fields = statm.read().split()
+        return int(fields[1]) * os.sysconf("SC_PAGE_SIZE")
+    except (OSError, IndexError, ValueError):
+        pass
+    from repro.obs.bench import peak_rss_kb
+    peak = peak_rss_kb()
+    return peak * 1024 if peak is not None else None
+
+
+def open_fd_count() -> Optional[int]:
+    """How many file descriptors the process holds open (``None``
+    where ``/proc/self/fd`` does not exist)."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
+def probe_process() -> dict:
+    """One reading of the process levels: ``rss_bytes``,
+    ``open_fds``, ``threads`` and ``tracemalloc_peak_bytes`` (``None``
+    where a probe is unavailable or tracemalloc is not tracing)."""
+    return {
+        "rss_bytes": current_rss_bytes(),
+        "open_fds": open_fd_count(),
+        "threads": threading.active_count(),
+        "tracemalloc_peak_bytes": tracemalloc.get_traced_memory()[1]
+        if tracemalloc.is_tracing() else None,
+    }
+
+
+def _budget_value(key: str, process: dict,
+                  gauges: dict) -> Optional[float]:
+    """The level a budget key is checked against (``None``: no
+    reading, so no breach)."""
+    if key == "max_rss_mb":
+        rss = process["rss_bytes"]
+        return rss / (1024 * 1024) if rss is not None else None
+    if key == "max_fds":
+        return process["open_fds"]
+    if key == "max_threads":
+        return process["threads"]
+    if key == "max_cache_bytes":
+        return sum(value for name, value in gauges.items()
+                   if name.endswith("_cache_bytes"))
+    return gauges.get(key[len("gauge:"):])
 
 
 def counter_rates(current: dict, previous: dict,
@@ -118,6 +204,17 @@ def counter_rates(current: dict, previous: dict,
         if delta >= 0:
             rates[name] = delta / elapsed
     return rates
+
+
+def _selects(name: Optional[str], series_name: str) -> bool:
+    """Whether the ``name`` filter keeps ``series_name``: no filter
+    keeps everything, a family prefix ending in ``:`` keeps its
+    members, any other name only itself."""
+    if name is None:
+        return True
+    if name.endswith(":"):
+        return series_name.startswith(name)
+    return series_name == name
 
 
 def _bucket_dict(bucket: list) -> dict:
@@ -216,7 +313,8 @@ class AnomalyDetector:
     def check(self, name: str, value: float) -> Optional[dict]:
         """Fold one sample; returns ``{baseline, score}`` when the
         sample is anomalous, else ``None``.  Thread-safe — the scrape
-        loop and a watchdog feeder may check concurrently."""
+        loop and an out-of-loop :meth:`TimeSeriesStore.record` caller
+        may check concurrently."""
         with self._lock:
             return self._check(name, value)
 
@@ -252,7 +350,8 @@ class AnomalyDetector:
 
 
 class TimeSeriesStore:
-    """Multi-resolution metric history with a daemon scrape loop.
+    """Multi-resolution metric history with a daemon scrape loop — the
+    process's one sampler of counters, gauges and resource levels.
 
     Parameters
     ----------
@@ -279,17 +378,19 @@ class TimeSeriesStore:
         ``None``/``False`` disables anomaly detection.
     sink:
         Optional :class:`~repro.obs.export.JsonlSink`; every anomaly
-        is emitted as one ``series_anomaly`` event.
+        is emitted as one ``series_anomaly`` event and every budget
+        breach as one ``resource_breach`` event.
     flight:
         Optional :class:`~repro.obs.flight.FlightRecorder`; every
-        anomaly triggers a ``series_anomaly`` diagnostic bundle
-        (rate-limited by the recorder itself).
-    probe_resources:
-        Sample RSS / open fds / thread count into ``resource:*``
-        series on each scrape.  Leave on when the store runs alone;
-        the session wiring turns it off when a
-        :class:`~repro.obs.watchdog.ResourceWatchdog` feeds the store
-        its samples instead (single source of history).
+        anomaly triggers a ``series_anomaly`` diagnostic bundle and
+        every budget breach a ``watchdog_breach`` one (rate-limited by
+        the recorder itself).
+    budgets:
+        Optional ``{key: limit}`` soft budgets checked on every scrape
+        — ``max_rss_mb`` (megabytes), ``max_fds``, ``max_threads``,
+        ``max_cache_bytes`` (the summed ``*_cache_bytes`` gauges), or
+        ``gauge:<name>`` against any gauge's current value (a gauge
+        that is not published never breaches).
     """
 
     def __init__(self, interval: float = 1.0, *,
@@ -298,7 +399,7 @@ class TimeSeriesStore:
                  clock: Callable[[], float] = time.time,
                  registry=None, detector=True,
                  sink=None, flight=None,
-                 probe_resources: bool = True,
+                 budgets: Optional[dict] = None,
                  anomaly_capacity: int = 256):
         if interval <= 0:
             raise ValueError("interval must be > 0 seconds")
@@ -313,6 +414,10 @@ class TimeSeriesStore:
                 raise ValueError("ring capacity must be >= 1")
             self.capacity[resolution] = int(size)
         self.max_series = max_series
+        self.budgets = dict(budgets or {})
+        for key in self.budgets:
+            if key not in BUDGET_KEYS and not key.startswith("gauge:"):
+                raise ValueError(f"unknown budget {key!r}")
         self._clock = clock
         self._registry = registry
         if detector is True:
@@ -322,7 +427,6 @@ class TimeSeriesStore:
         self.detector = detector
         self._sink = sink
         self._flight = flight
-        self.probe_resources = probe_resources
         self._lock = threading.Lock()
         self._series: dict[str, _Series] = {}
         self._anomalies: deque[dict] = deque(maxlen=anomaly_capacity)
@@ -377,14 +481,20 @@ class TimeSeriesStore:
             else get_metrics()
 
     def scrape(self, now: Optional[float] = None) -> int:
-        """Take one sample of everything; returns the number of
-        series that received a point."""
+        """Take one sample of everything — registry and process
+        probes — and check the budgets; returns the number of series
+        that received a point."""
         if now is None:
             now = self._clock()
         metrics = self._metrics()
+        process = probe_process()
         if metrics.enabled:
+            for gauge, value in zip(WATCHDOG_GAUGES, process.values()):
+                if value is not None:
+                    metrics.gauge_set(gauge, value)
             counters = metrics.counters
-            gauges = metrics.gauges
+            gauges = {name: data["value"]
+                      for name, data in metrics.gauges.items()}
             histograms = getattr(metrics, "histograms", {})
         else:
             counters, gauges, histograms = {}, {}, {}
@@ -401,26 +511,22 @@ class TimeSeriesStore:
             for name, rate in rates.items():
                 recorded += self.record(f"counter:{name}", rate,
                                         kind="rate", now=now)
-        for name, data in gauges.items():
-            recorded += self.record(f"gauge:{name}", data["value"],
-                                    now=now)
+        for name, value in gauges.items():
+            recorded += self.record(f"gauge:{name}", value, now=now)
         for name, data in histograms.items():
             for quantile in ("p50", "p99"):
                 value = data.get(quantile)
                 if value is not None:
                     recorded += self.record(f"hist:{name}:{quantile}",
                                             value, now=now)
-        if self.probe_resources:
-            rss = current_rss_bytes()
-            if rss is not None:
-                recorded += self.record("resource:rss_bytes", rss,
-                                        now=now)
-            fds = open_fd_count()
-            if fds is not None:
-                recorded += self.record("resource:open_fds", fds,
-                                        now=now)
-            recorded += self.record("resource:threads",
-                                    threading.active_count(), now=now)
+        for field in ("rss_bytes", "open_fds", "threads"):
+            if process[field] is not None:
+                recorded += self.record(f"resource:{field}",
+                                        process[field], now=now)
+        for key, limit in self.budgets.items():
+            value = _budget_value(key, process, gauges)
+            if value is not None and value > limit:
+                self._breach(key, limit, value, now, metrics)
         return recorded
 
     def record(self, name: str, value: float, kind: str = "level",
@@ -428,8 +534,8 @@ class TimeSeriesStore:
         """Record one point of ``name`` at ``now``; returns 1 when the
         point was stored, 0 when the ``max_series`` bound dropped it.
 
-        The public entry for out-of-loop feeders (the resource
-        watchdog pushes its snapshots through here).
+        The scrape loop records through here; so can out-of-loop
+        feeders of custom series.
         """
         if now is None:
             now = self._clock()
@@ -450,17 +556,18 @@ class TimeSeriesStore:
                                    now, finding)
         return 1
 
-    def record_resources(self, snapshot: dict) -> None:
-        """Fold one :meth:`ResourceWatchdog.snap` snapshot into the
-        ``resource:*`` series (the watchdog calls this each tick, so
-        resource history has a single source)."""
-        timestamp = snapshot.get("timestamp")
-        for field, name in (("rss_bytes", "resource:rss_bytes"),
-                            ("open_fds", "resource:open_fds"),
-                            ("threads", "resource:threads")):
-            value = snapshot.get(field)
-            if value is not None:
-                self.record(name, value, now=timestamp)
+    def _breach(self, key: str, limit: float, value: float,
+                now: float, metrics) -> None:
+        if metrics.enabled:
+            metrics.inc("watchdog_breaches")
+        if self._sink is not None:
+            self._sink.emit("resource_breach",
+                            {"timestamp": now, "budget": key,
+                             "limit": limit, "value": value})
+        if self._flight is not None:
+            self._flight.trigger("watchdog_breach")
+        _log.warning("resource budget %s breached: %s > %s",
+                     key, value, limit)
 
     def _flag_anomaly(self, series: _Series, raw_bucket: list,
                       name: str, value: float, now: float,
@@ -533,7 +640,8 @@ class TimeSeriesStore:
         under a frozen clock an HTTP fetch and this call agree
         byte-for-byte once both are rendered with ``sort_keys``.
         ``name``/``window``/``resolution`` mirror the query-string
-        filters.
+        filters; a ``name`` ending in ``:`` (``resource:``,
+        ``gauge:``) selects every series of that family.
         """
         if now is None:
             now = self._clock()
@@ -543,8 +651,8 @@ class TimeSeriesStore:
         wanted = (resolution,) if resolution is not None \
             else tuple(self.resolutions)
         with self._lock:
-            names = sorted(self._series) if name is None \
-                else [name] if name in self._series else []
+            names = sorted(series_name for series_name in self._series
+                           if _selects(name, series_name))
             frozen = {
                 series_name: (self._series[series_name].kind,
                               {level: [list(bucket) for bucket in
@@ -569,7 +677,7 @@ class TimeSeriesStore:
                                             "points": points}
         if name is not None:
             anomalies = [entry for entry in anomalies
-                         if entry["series"] == name]
+                         if _selects(name, entry["series"])]
         if horizon is not None:
             anomalies = [entry for entry in anomalies
                          if entry["timestamp"] >= horizon]

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -88,21 +87,6 @@ RUNTIME_GAUGES = (
 )
 
 
-#: Deprecated lifecycle methods that already warned this process (one
-#: warning per name, not per call).
-_DEPRECATION_WARNED: set[str] = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    warnings.warn(
-        f"SearchSession.{old}() is deprecated; use "
-        f"SearchSession.{new} (docs/API.md, 'Session lifecycle')",
-        DeprecationWarning, stacklevel=3)
-
-
 @dataclass(frozen=True)
 class _SessionState:
     """One coherent (index, plan cache, posting cache) triple.
@@ -124,7 +108,6 @@ class ServingHandles:
     """What :meth:`SearchSession.serving` started, for the block's use."""
 
     telemetry: Optional[object] = None
-    watchdog: Optional[object] = None
     profiler: Optional[object] = None
     slow_log: Optional[SlowQueryLog] = None
     sink: Optional[object] = None
@@ -196,7 +179,6 @@ class SearchSession:
         self._telemetry = None
         self._owns_global_registry = False
         self._profiler = None
-        self._watchdog = None
         self._timeseries = None
         self._slo = None
         self._flight = None
@@ -880,7 +862,7 @@ class SearchSession:
                 "misses": counters.get("posting_decode_blocks", 0)},
         }
 
-    # -- continuous profiling / resource watchdog ---------------------------
+    # -- continuous profiling / time series ---------------------------------
 
     @contextmanager
     def profile_cpu(self, hz: Optional[float] = None):
@@ -916,30 +898,6 @@ class SearchSession:
             profiler.stop()
         return profiler
 
-    def _start_watchdog(self, interval: float = 1.0,
-                        budgets: Optional[dict] = None,
-                        capacity: int = 64, registry=None,
-                        timeseries=None):
-        if self._watchdog is not None and self._watchdog.running:
-            return self._watchdog
-        from repro.obs.watchdog import ResourceWatchdog
-        if timeseries is None:
-            timeseries = self._timeseries
-        self._watchdog = ResourceWatchdog(interval=interval,
-                                          capacity=capacity,
-                                          budgets=budgets,
-                                          registry=registry,
-                                          sink=self._event_sink,
-                                          flight=self._flight,
-                                          timeseries=timeseries)
-        return self._watchdog.start()
-
-    def _stop_watchdog(self):
-        watchdog, self._watchdog = self._watchdog, None
-        if watchdog is not None:
-            watchdog.stop()
-        return watchdog
-
     def _start_timeseries(self, interval: float = 1.0, registry=None,
                           **options):
         if self._timeseries is not None and self._timeseries.running:
@@ -955,6 +913,8 @@ class SearchSession:
         store, self._timeseries = self._timeseries, None
         if store is not None:
             store.stop()
+            if getattr(self._flight, "timeseries", None) is store:
+                self._flight.timeseries = None
         return store
 
     # -- slow-query log / event sink / telemetry ----------------------------
@@ -1020,14 +980,13 @@ class SearchSession:
     def attach_flight_recorder(self, flight) -> None:
         """Feed every search/batch wide event to ``flight`` (a
         :class:`repro.obs.flight.FlightRecorder`); ``None`` detaches.
-        A watchdog started after this call also snapshots its gauges
-        into the recorder and triggers a bundle on budget breach."""
+        A time-series store started after this call triggers bundles
+        on anomalies and budget breaches, and the recorder reads its
+        gauge history."""
         self._flight = flight
 
     def _serve_telemetry(self, port: int = 0, host: str = "127.0.0.1",
-                         registry=None, namespace: str = "repro",
-                         watchdog_interval: Optional[float] = 1.0,
-                         watchdog_budgets: Optional[dict] = None):
+                         registry=None, namespace: str = "repro"):
         from repro.obs.metrics import MetricsRegistry, set_global_metrics
         from repro.obs.server import TelemetryServer
         if self._telemetry is not None:
@@ -1036,10 +995,6 @@ class SearchSession:
             registry = MetricsRegistry()
             set_global_metrics(registry)
             self._owns_global_registry = True
-        if watchdog_interval is not None:
-            self._start_watchdog(interval=watchdog_interval,
-                                 budgets=watchdog_budgets,
-                                 registry=registry)
         from repro.obs.tracing import recent_traces
         self._telemetry = TelemetryServer(
             registry.snapshot,
@@ -1051,16 +1006,11 @@ class SearchSession:
             flame_provider=lambda: (self._profiler.to_collapsed()
                                     if self._profiler is not None
                                     else ""),
-            resources_provider=lambda: (self._watchdog.as_json()
-                                        if self._watchdog is not None
-                                        else {"snapshots": [],
-                                              "breaches": []}),
             slo_provider=(lambda: self._slo.as_json())
             if self._slo is not None else None,
             debug_provider=(lambda: self._flight.bundle())
             if self._flight is not None else None,
-            series_provider=(lambda: self._timeseries)
-            if self._timeseries is not None else None,
+            series_provider=lambda: self._timeseries,
             port=port, host=host, namespace=namespace)
         return self._telemetry
 
@@ -1068,7 +1018,6 @@ class SearchSession:
         telemetry, self._telemetry = self._telemetry, None
         if telemetry is not None:
             telemetry.close()
-        self._stop_watchdog()
         self._stop_timeseries()
         self._stop_cpu_profiler()
         if self._owns_global_registry:
@@ -1077,21 +1026,17 @@ class SearchSession:
             self._owns_global_registry = False
 
     @contextmanager
-    def serving(self, telemetry=None, watchdog=None, cpu_profiler=None,
+    def serving(self, telemetry=None, cpu_profiler=None,
                 slow_query_log=None, events=None, slo=None, flight=None,
                 timeseries=None, registry=None,
                 namespace: str = "repro"):
         """Everything a long-lived serving process needs, one ``with``.
 
-        The context-managed replacement for the sprawling
-        ``serve_telemetry``/``close_telemetry``/``start_watchdog``/
-        ``start_cpu_profiler``... lifecycle (those names survive as
-        deprecated wrappers — docs/API.md, 'Session lifecycle').
         Starts exactly what the keyword arguments ask for, yields a
         :class:`ServingHandles`, and tears everything down on exit —
         in reverse order, idempotently, even when the body raises::
 
-            with session.serving(telemetry=9464, watchdog=1.0) as run:
+            with session.serving(telemetry=9464) as run:
                 print(run.telemetry.url)
                 ...serve forever...
 
@@ -1100,19 +1045,12 @@ class SearchSession:
         telemetry:
             ``True`` or a port number starts the live telemetry
             endpoint (``/metrics`` ``/healthz`` ``/profilez``
-            ``/tracez`` ``/flamez`` ``/resourcez``, plus ``/sloz`` /
+            ``/tracez`` ``/flamez`` ``/seriesz``, plus ``/sloz`` /
             ``/debugz`` when ``slo`` / ``flight`` are on); a dict is
-            passed
-            through to the endpoint constructor (``port=``, ``host=``,
-            ...).  Without an explicit ``registry`` a fresh one is
-            installed process-wide so every thread's searches land in
-            the scrape.  ``None``/``False`` serves nothing.
-        watchdog:
-            Resource-watchdog interval in seconds, or a dict of
-            watchdog options (``interval=``, ``budgets=``, ...), or
-            ``False`` to opt out.  Default: a 1s watchdog when
-            ``telemetry`` is on (so ``/resourcez`` has history from
-            the first scrape), none otherwise.
+            passed through to the endpoint constructor (``port=``,
+            ``host=``, ...).  Without an explicit ``registry`` a fresh
+            one is installed process-wide so every thread's searches
+            land in the scrape.  ``None``/``False`` serves nothing.
         cpu_profiler:
             ``True`` (default rate) or a sampling rate in hz starts
             the continuous profiler feeding ``/flamez``.
@@ -1138,21 +1076,23 @@ class SearchSession:
             :class:`~repro.obs.flight.FlightRecorder`; an integer
             sizes its wide-event ring; a ready-made recorder is
             attached as-is.  ``/debugz`` serves its bundle when
-            telemetry is on, and the watchdog feeds its gauge ring.
+            telemetry is on, with the block's time-series store as
+            its gauge history.
         timeseries:
             ``True`` starts a 1-second
             :class:`~repro.obs.timeseries.TimeSeriesStore` scrape
             loop; a number sets the scrape interval; a dict is passed
-            through to the store constructor; a ready-made store is
-            attached (and started if stopped).  The store samples the
-            registry into multi-resolution rings, feeds anomalies to
-            the block's sink / flight recorder, and is served on
-            ``/seriesz`` when telemetry is on.  When the block also
-            runs a watchdog, the watchdog becomes the store's only
-            source of ``resource:*`` samples (no double probing).
-            ``None``/``False`` keeps no history.
+            through to the store constructor (``budgets=`` sets soft
+            resource budgets); a ready-made store is attached (and
+            started if stopped).  The store is the block's one
+            sampler: registry levels, rates and process resources go
+            into multi-resolution rings, anomalies and budget
+            breaches to the block's sink / flight recorder, and the
+            history is served on ``/seriesz`` when telemetry is on.
+            Default: a 1-second store when ``telemetry`` is on, none
+            otherwise; ``False`` keeps no history.
         registry:
-            Metrics registry for the telemetry scrape and watchdog;
+            Metrics registry for the telemetry scrape and the store;
             defaults to a fresh process-global one when telemetry is
             on.
         """
@@ -1199,52 +1139,32 @@ class SearchSession:
                     engine.on_page = \
                         lambda objective, info: recorder.trigger(
                             "slo_page")
-        started_telemetry = None
+        if timeseries is None and telemetry not in (None, False):
+            timeseries = True
         try:
-            if timeseries not in (None, False):
-                if hasattr(timeseries, "scrape"):
-                    self._timeseries = timeseries
-                    if not timeseries.running:
-                        timeseries.start()
-                else:
-                    options = dict(timeseries) \
-                        if isinstance(timeseries, dict) \
-                        else {"interval": 1.0 if timeseries is True
-                              else float(timeseries)}
-                    # A watchdog (started below) publishes resource
-                    # samples into the store; only self-probe when no
-                    # watchdog will run in this block.
-                    will_watchdog = watchdog is not False and (
-                        watchdog is not None
-                        or telemetry not in (None, False))
-                    options.setdefault("probe_resources",
-                                       not will_watchdog)
-                    self._start_timeseries(registry=registry, **options)
             if telemetry not in (None, False):
                 kwargs = dict(telemetry) if isinstance(telemetry, dict) \
                     else {"port": 0 if telemetry is True else telemetry}
                 kwargs.setdefault("registry", registry)
                 kwargs.setdefault("namespace", namespace)
-                if watchdog is False:
-                    kwargs.setdefault("watchdog_interval", None)
-                elif isinstance(watchdog, dict):
-                    # started separately below, with full options
-                    kwargs.setdefault("watchdog_interval", None)
-                elif watchdog is not None and watchdog is not True:
-                    kwargs.setdefault("watchdog_interval", watchdog)
-                started_telemetry = self._serve_telemetry(**kwargs)
-            if isinstance(watchdog, dict):
-                self._start_watchdog(registry=registry, **watchdog)
-            elif started_telemetry is None and \
-                    watchdog not in (None, False):
-                interval = 1.0 if watchdog is True else watchdog
-                self._start_watchdog(interval=interval,
-                                     registry=registry)
+                self._serve_telemetry(**kwargs)
+            if hasattr(timeseries, "scrape"):
+                self._timeseries = timeseries
+                if not timeseries.running:
+                    timeseries.start()
+            elif timeseries not in (None, False):
+                options = dict(timeseries) \
+                    if isinstance(timeseries, dict) \
+                    else {"interval": 1.0 if timeseries is True
+                          else float(timeseries)}
+                self._start_timeseries(registry=registry, **options)
+            if self._timeseries is not None and self._flight is not None \
+                    and getattr(self._flight, "timeseries", None) is None:
+                self._flight.timeseries = self._timeseries
             if cpu_profiler not in (None, False):
                 hz = None if cpu_profiler is True else cpu_profiler
                 self._start_cpu_profiler(hz=hz)
             yield ServingHandles(telemetry=self._telemetry,
-                                 watchdog=self._watchdog,
                                  profiler=self._profiler,
                                  slow_log=self._slow_log,
                                  sink=handles_sink,
@@ -1260,49 +1180,6 @@ class SearchSession:
             if owns_sink:
                 self.attach_event_sink(None)
                 handles_sink.close()
-
-    # -- deprecated lifecycle wrappers (docs/API.md migration table) --------
-
-    def serve_telemetry(self, port: int = 0, host: str = "127.0.0.1",
-                        registry=None, namespace: str = "repro",
-                        watchdog_interval: Optional[float] = 1.0,
-                        watchdog_budgets: Optional[dict] = None):
-        """Deprecated — use :meth:`serving` (``telemetry=...``)."""
-        _warn_deprecated("serve_telemetry", "serving(telemetry=...)")
-        return self._serve_telemetry(
-            port=port, host=host, registry=registry, namespace=namespace,
-            watchdog_interval=watchdog_interval,
-            watchdog_budgets=watchdog_budgets)
-
-    def close_telemetry(self) -> None:
-        """Deprecated — use :meth:`serving` (teardown is automatic)."""
-        _warn_deprecated("close_telemetry", "serving(...)")
-        self._close_serving()
-
-    def start_watchdog(self, interval: float = 1.0,
-                       budgets: Optional[dict] = None,
-                       capacity: int = 64, registry=None):
-        """Deprecated — use :meth:`serving` (``watchdog=...``)."""
-        _warn_deprecated("start_watchdog", "serving(watchdog=...)")
-        return self._start_watchdog(interval=interval, budgets=budgets,
-                                    capacity=capacity, registry=registry)
-
-    def stop_watchdog(self):
-        """Deprecated — use :meth:`serving` (teardown is automatic)."""
-        _warn_deprecated("stop_watchdog", "serving(watchdog=...)")
-        return self._stop_watchdog()
-
-    def start_cpu_profiler(self, hz: Optional[float] = None):
-        """Deprecated — use :meth:`serving` (``cpu_profiler=...``)."""
-        _warn_deprecated("start_cpu_profiler",
-                         "serving(cpu_profiler=...)")
-        return self._start_cpu_profiler(hz=hz)
-
-    def stop_cpu_profiler(self):
-        """Deprecated — use :meth:`serving` (teardown is automatic)."""
-        _warn_deprecated("stop_cpu_profiler",
-                        "serving(cpu_profiler=...)")
-        return self._stop_cpu_profiler()
 
     def _health(self) -> dict:
         health = {

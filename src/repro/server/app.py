@@ -46,9 +46,10 @@ cancelled so it cannot burn a worker for a client that already left.
 
 Searches report into a process-global metrics registry and tracer
 (worker threads do not inherit the ContextVar-scoped ones), so every
-request lands in ``/metrics`` and ``/tracez``, and the session's
-resource watchdog patrols a ``gauge:server_inflight_requests`` budget
-so sustained saturation surfaces as ``watchdog_breaches``.
+request lands in ``/metrics`` and ``/tracez``, and the time-series
+store's scrape checks a ``gauge:server_inflight_requests`` budget that
+a full admission queue exceeds, so sustained saturation surfaces as
+``watchdog_breaches``.
 
 Hot swap: :meth:`SearchServer.reload` (SIGHUP under :func:`serve`)
 opens the index path afresh and :meth:`~repro.runtime.session.
@@ -158,14 +159,10 @@ class SearchServer:
         by default) so worker threads' searches land in ``/metrics``
         and ``/tracez``; the previous globals are restored on
         :meth:`close`.
-    watchdog_interval / watchdog_budgets:
-        The session resource watchdog (``None`` interval opts out);
-        budgets default to ``gauge:server_inflight_requests`` at the
-        admission capacity, so sustained saturation breaches.
     sink:
         Optional :class:`~repro.obs.export.JsonlSink` receiving every
-        wide event (request- and session-level) plus watchdog / SLO
-        breach events; attached to the session for the server's
+        wide event (request- and session-level) plus resource-budget
+        / SLO breach events; attached to the session for the server's
         lifetime and detached (not closed) on :meth:`close`.
     slo:
         ``True`` (default) evaluates
@@ -179,14 +176,18 @@ class SearchServer:
         :class:`~repro.obs.flight.FlightRecorder`; an integer sizes
         its wide-event ring; a ready-made recorder is used as-is;
         ``None``/``False`` disables ``/debugz``.  Page-state SLO
-        transitions and watchdog breaches trigger diagnostic bundles.
+        transitions and resource-budget breaches trigger diagnostic
+        bundles.
     series_interval:
         Scrape interval in seconds for the
         :class:`~repro.obs.timeseries.TimeSeriesStore` behind
-        ``/seriesz`` (default 1s); ``None`` disables the store and
-        the route.  The watchdog (when on) feeds the store's
-        ``resource:*`` series; without a watchdog the store probes
-        the process itself.
+        ``/seriesz`` (default 1s) — the server's one sampler of
+        registry and process levels.  Its
+        ``gauge:server_inflight_requests`` budget is one below the
+        admission capacity (``workers + queue_limit``), which the
+        gauge can reach but never pass, so a scrape that finds the
+        admission full records a breach.  ``None`` disables the
+        store, the budget and the route.
     """
 
     def __init__(self, session: SearchSession,
@@ -196,8 +197,6 @@ class SearchServer:
                  request_timeout: float = 30.0,
                  registry=None, tracer=None,
                  namespace: str = "repro",
-                 watchdog_interval: Optional[float] = 1.0,
-                 watchdog_budgets: Optional[dict] = None,
                  sink=None, slo=True, flight=True,
                  series_interval: Optional[float] = 1.0):
         from repro.obs.metrics import MetricsRegistry, set_global_metrics
@@ -267,18 +266,14 @@ class SearchServer:
             self._timeseries = TimeSeriesStore(
                 series_interval, registry=self._registry, sink=sink,
                 flight=self._flight,
-                probe_resources=watchdog_interval is None)
+                budgets={"gauge:server_inflight_requests":
+                         self._admission.capacity - 1})
+            if self._flight is not None and \
+                    getattr(self._flight, "timeseries", None) is None:
+                self._flight.timeseries = self._timeseries
             self._timeseries.start()
         else:
             self._timeseries = None
-        if watchdog_interval is not None:
-            budgets = watchdog_budgets if watchdog_budgets is not None \
-                else {"gauge:server_inflight_requests":
-                      self._admission.capacity}
-            session._start_watchdog(interval=watchdog_interval,
-                                    budgets=budgets,
-                                    registry=self._registry,
-                                    timeseries=self._timeseries)
         from repro.obs.tracing import recent_traces
         self._introspection = RouteTable(
             on_error=lambda path, error:
@@ -397,7 +392,6 @@ class SearchServer:
         self._httpd.server_close()
         self._thread.join(timeout=5.0)
         self._pool.shutdown(wait=True)
-        self.session._stop_watchdog()
         if self._timeseries is not None:
             self._timeseries.stop()
         if self._flight is not None:
@@ -659,7 +653,6 @@ def _parse_explain(params: dict):
 def serve(index_path, port: int = 8080, host: str = "127.0.0.1",
           workers: int = 4, queue_limit: int = 16,
           request_timeout: float = 30.0,
-          watchdog_interval: Optional[float] = 1.0,
           slow_query_ms: Optional[float] = None,
           events_jsonl=None, slo=True, flight=True,
           series_interval: Optional[float] = 1.0,
@@ -675,8 +668,9 @@ def serve(index_path, port: int = 8080, host: str = "127.0.0.1",
     also reach the flight recorder's bundle via counters);
     ``events_jsonl`` opens a size-capped :class:`~repro.obs.export.
     JsonlSink` (closed on shutdown) receiving every wide event;
-    ``series_interval`` paces the ``/seriesz`` scrape loop (``None``
-    disables the time-series store).
+    ``series_interval`` paces the ``/seriesz`` scrape loop, the
+    process's one resource sampler (``None`` disables the time-series
+    store).
     ``ready`` (if given) is called with the running
     :class:`SearchServer` once it is serving; ``stop`` (an optional
     :class:`threading.Event`) shuts down when set, for embedders that
@@ -696,7 +690,6 @@ def serve(index_path, port: int = 8080, host: str = "127.0.0.1",
                           host=host, workers=workers,
                           queue_limit=queue_limit,
                           request_timeout=request_timeout,
-                          watchdog_interval=watchdog_interval,
                           sink=sink, slo=slo, flight=flight,
                           series_interval=series_interval) as server:
             try:

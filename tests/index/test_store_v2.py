@@ -639,3 +639,64 @@ class TestDedupCorruption:
                     lazy.postings(keyword)
         except (StoreFormatError, MemoryError):
             pass
+
+
+#: Rebuilds ``argv[1]`` in place with the writer named ``argv[2]``
+#: while a LazyIndex still maps the old file, then reads every keyword
+#: (last first, so the reads land beyond the new, smaller file's end)
+#: through the old handle.
+_REWRITE_UNDER_READER = """
+import sys
+from importlib import import_module
+from repro.datasets.dblp import generate_dblp
+from repro.index.inverted import InvertedIndex
+from repro.index.store_v2 import load_index_v2, save_index_v2
+
+path = sys.argv[1]
+module, writer = sys.argv[2].rsplit(".", 1)
+full = InvertedIndex.from_tree(generate_dblp(scale=200, seed=1).tree)
+save_index_v2(full, path)
+expected = dict(full.raw_postings())
+with load_index_v2(path) as old:
+    first = min(expected)
+    assert old.raw_postings()[first] == expected[first]
+    getattr(import_module(module), writer)(
+        InvertedIndex({first: list(expected[first])}), path)
+    for keyword in sorted(expected, reverse=True):
+        assert old.raw_postings()[keyword] == expected[keyword], keyword
+print("old answers", len(expected))
+"""
+
+
+class TestRewriteUnderReader:
+    @pytest.mark.parametrize("writer", [
+        "repro.index.store_v2.save_index_v2",
+        "repro.index.store_v2.save_index_v2_dedup",
+        "repro.index.store.save_index",
+    ])
+    def test_rebuild_in_place_keeps_the_open_reader_alive(
+            self, tmp_path, writer):
+        """Rebuilding a store an open LazyIndex maps must not truncate
+        the mapped file: a truncating write makes the old handle read
+        garbage or die of SIGBUS.  The reader runs in a subprocess so
+        a signal fails this test instead of killing the suite."""
+        import subprocess
+        import sys
+
+        import repro
+        src = str(next(iter(repro.__path__)) + "/..")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; sys.path.insert(0, sys.argv.pop())\n"
+             + _REWRITE_UNDER_READER,
+             str(tmp_path / "dblp.ckx"), writer, src],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        assert proc.stdout.startswith("old answers")
+        assert not list(tmp_path.glob("*.tmp"))
+        # the path now holds the one-keyword rebuild
+        rebuilt = open_index(tmp_path / "dblp.ckx")
+        try:
+            assert len(rebuilt) == 1
+        finally:
+            getattr(rebuilt, "close", lambda: None)()

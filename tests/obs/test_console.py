@@ -25,7 +25,7 @@ def _store_with_traffic():
     registry = MetricsRegistry()
     clock = FakeClock()
     store = TimeSeriesStore(1.0, clock=clock, registry=registry,
-                            detector=False, probe_resources=False)
+                            detector=False)
     store.scrape()
     for step in range(5):
         registry.inc("plan_cache_hits", step + 1)
@@ -69,7 +69,7 @@ class TestRenderFrame:
     def test_empty_document_renders_placeholder(self):
         store = TimeSeriesStore(1.0, clock=FakeClock(),
                                 registry=MetricsRegistry(),
-                                detector=False, probe_resources=False)
+                                detector=False)
         frame = render_frame(store.as_json())
         assert "no samples yet" in frame
 

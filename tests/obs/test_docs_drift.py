@@ -36,9 +36,9 @@ from repro.core.kernel import ENGINE_COUNTERS
 from repro.index.store_v2 import STORE_V2_COUNTERS, STORE_V2_GAUGES
 from repro.obs.flight import FLIGHT_BUNDLE_FIELDS
 from repro.obs.slo import SLO_GAUGES
-from repro.obs.timeseries import ANOMALY_EVENT_FIELDS, SERIES_FIELDS
+from repro.obs.timeseries import (ANOMALY_EVENT_FIELDS, SERIES_FIELDS,
+                                  WATCHDOG_GAUGES)
 from repro.obs.tracing import TRACE_ATTRIBUTES, TRACING_GAUGES
-from repro.obs.watchdog import WATCHDOG_GAUGES
 from repro.obs.wideevent import WIDE_EVENT_FIELDS
 from repro.runtime.session import RUNTIME_COUNTERS, RUNTIME_GAUGES
 from repro.server.app import SERVER_COUNTERS, SERVER_GAUGES

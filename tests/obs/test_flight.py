@@ -6,7 +6,8 @@ import pytest
 
 from repro.obs import (FLIGHT_BUNDLE_FIELDS, FLIGHT_REASONS,
                        FLIGHT_SCHEMA_VERSION, FlightRecorder,
-                       MetricsRegistry, SLOEngine, wide_event)
+                       MetricsRegistry, SLOEngine, TimeSeriesStore,
+                       wide_event)
 
 
 class FakeClock:
@@ -20,8 +21,7 @@ class FakeClock:
 def _recorder(clock, **kwargs):
     kwargs.setdefault("registry", MetricsRegistry())
     kwargs.setdefault("traces_provider", list)
-    return FlightRecorder(capacity=8, gauge_capacity=4, clock=clock,
-                          **kwargs)
+    return FlightRecorder(capacity=8, clock=clock, **kwargs)
 
 
 class TestBundle:
@@ -32,6 +32,7 @@ class TestBundle:
         assert bundle["reason"] == "on_demand"
         assert bundle["reason"] in FLIGHT_REASONS
         assert bundle["slo"] is None
+        assert bundle["gauge_snapshots"] == {}  # no store attached
         assert bundle["dumped"] == 0
 
     def test_bundle_is_pure_and_deterministic(self):
@@ -53,18 +54,22 @@ class TestBundle:
         registry.gauge_set("inflight", 2)
         engine = SLOEngine(["availability 99.9%"], clock=clock,
                            registry=registry)
+        store = TimeSeriesStore(clock=clock, registry=registry,
+                                detector=False)
         recorder = _recorder(clock, registry=registry, slo=engine)
+        recorder.timeseries = store
         event = wide_event("query", "search", timestamp=5.0)
         recorder.record(event)
         engine.record(event)
-        recorder.snap_gauges()
+        store.scrape()
         bundle = recorder.bundle()
         assert bundle["events"] == [event]
         assert bundle["event_stats"]["recorded"] == 1
         assert bundle["counters"]["results_emitted"] == 3
-        (snapshot,) = bundle["gauge_snapshots"]
-        assert snapshot["timestamp"] == clock.now
-        assert snapshot["gauges"]["inflight"] == 2
+        (point,) = bundle["gauge_snapshots"]["gauge:inflight"][
+            "points"]["raw"]
+        assert point["start"] == clock.now
+        assert point["last"] == 2
         assert bundle["slo"]["schema"] == 1
         assert bundle["slo"]["recorded"] == 1
 
@@ -77,13 +82,23 @@ class TestBundle:
 
     def test_gauge_snapshot_ring_is_bounded(self):
         clock = FakeClock()
-        recorder = _recorder(clock)  # gauge_capacity=4
+        registry = MetricsRegistry()
+        store = TimeSeriesStore(clock=clock, registry=registry,
+                                detector=False, capacity={"raw": 4})
+        recorder = _recorder(clock, registry=registry)
+        recorder.timeseries = store
         for n in range(10):
-            recorder.snap_gauges({"n": n}, timestamp=float(n))
+            registry.gauge_set("n", n)
+            store.scrape()
+            clock.now += 1.0
         snapshots = recorder.gauge_snapshots()
-        assert [entry["gauges"]["n"] for entry in snapshots] \
-            == [6, 7, 8, 9]
-        assert recorder.stats()["gauge_snapshots"] == 10
+        # the store's ring bound is the bundle's bound
+        assert [point["last"] for point in
+                snapshots["gauge:n"]["points"]["raw"]] == [6, 7, 8, 9]
+        # exactly /seriesz?name=gauge:&resolution=raw, nothing else
+        assert snapshots == store.as_json(
+            name="gauge:", resolution="raw")["series"]
+        assert all(name.startswith("gauge:") for name in snapshots)
 
 
 class TestTrigger:
@@ -136,7 +151,3 @@ class TestTrigger:
         stats = recorder.bundle()["event_stats"]
         assert stats == {"capacity": 8, "recorded": 100,
                          "retained": 8, "evicted": 92}
-
-    def test_gauge_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(gauge_capacity=0)

@@ -1,5 +1,5 @@
 """The live telemetry endpoint: /metrics, /healthz, /profilez,
-/tracez, /flamez and /resourcez."""
+/tracez, /flamez and the session's serving() wiring of it."""
 
 import json
 import urllib.error
@@ -107,25 +107,12 @@ class TestTelemetryServer:
         assert status == 200
         assert body == ""
 
-    def test_resourcez_serves_watchdog_document(self, registry):
-        from repro.obs import ResourceWatchdog
-        watchdog = ResourceWatchdog(registry=registry)
-        watchdog.snap()
-        with TelemetryServer(registry.snapshot,
-                             resources_provider=watchdog.as_json
-                             ) as server:
-            status, content_type, body = _get(server.url + "/resourcez")
-        assert status == 200
-        assert content_type == "application/json"
-        document = json.loads(body)
-        assert document["sampled"] == 1
-        (snapshot,) = document["snapshots"]
-        assert snapshot["threads"] >= 1
-
-    def test_resourcez_defaults_to_empty_document(self, registry):
+    def test_resourcez_is_retired(self, registry):
+        # resource history is served on /seriesz?name=resource:
         with TelemetryServer(registry.snapshot) as server:
-            _, _, body = _get(server.url + "/resourcez")
-        assert json.loads(body) == {"snapshots": [], "breaches": []}
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(server.url + "/resourcez")
+        assert excinfo.value.code == 404
 
     def test_unknown_route_is_404(self, registry):
         with TelemetryServer(registry.snapshot) as server:
@@ -133,7 +120,7 @@ class TestTelemetryServer:
                 _get(server.url + "/nope")
             assert excinfo.value.code == 404
             body = excinfo.value.read().decode("utf-8")
-            assert "/flamez" in body and "/resourcez" in body
+            assert "/flamez" in body and "/tracez" in body
 
     def test_close_is_idempotent(self, registry):
         server = TelemetryServer(registry.snapshot)
@@ -144,9 +131,9 @@ class TestTelemetryServer:
 class TestSessionTelemetry:
     def test_serve_telemetry_end_to_end(self, figure1_index):
         session = SearchSession(figure1_index)
-        session.configure_slow_query_log(threshold=0.0)
-        try:
-            server = session.serve_telemetry(port=0)
+        with session.serving(telemetry=True,
+                             slow_query_log=0.0) as run:
+            server = run.telemetry
             session.search(Q1)
 
             _, _, body = _get(server.url + "/metrics")
@@ -169,8 +156,6 @@ class TestSessionTelemetry:
             assert profile["query"] == Q1
             assert profile["result_count"] == 3
             assert profile["counters"]["results_emitted"] == 3
-        finally:
-            session.close_telemetry()
 
     def test_tracez_reflects_traced_searches(self, figure1_index):
         # The endpoint's provider runs on the server's handler thread,
@@ -181,76 +166,71 @@ class TestSessionTelemetry:
         tracer = Tracer()
         set_global_tracer(tracer)
         try:
-            server = session.serve_telemetry(port=0)
-            session.search(Q1)
-            _, _, body = _get(server.url + "/tracez")
-            (digest,) = json.loads(body)
-            assert digest["root"] == "search"
-            assert digest["spans"] >= 1
-            # With the tracer gone the endpoint reads empty again.
-            set_global_tracer(None)
-            _, _, body = _get(server.url + "/tracez")
-            assert json.loads(body) == []
+            with session.serving(telemetry=True) as run:
+                session.search(Q1)
+                _, _, body = _get(run.telemetry.url + "/tracez")
+                (digest,) = json.loads(body)
+                assert digest["root"] == "search"
+                assert digest["spans"] >= 1
+                # With the tracer gone the endpoint reads empty again.
+                set_global_tracer(None)
+                _, _, body = _get(run.telemetry.url + "/tracez")
+                assert json.loads(body) == []
         finally:
             set_global_tracer(None)
             tracer.close()
-            session.close_telemetry()
 
-    def test_resourcez_has_history_from_the_auto_watchdog(
+    def test_seriesz_has_resource_history_from_the_default_store(
             self, figure1_index):
         import time
         session = SearchSession(figure1_index)
-        try:
-            server = session.serve_telemetry(port=0,
-                                             watchdog_interval=0.05)
+        with session.serving(telemetry=True) as run:
             session.search(Q1)
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
-                _, _, body = _get(server.url + "/resourcez")
-                document = json.loads(body)
-                latest = document["snapshots"][-1]
-                if document["sampled"] >= 2 and latest["gauges"]:
+                _, _, body = _get(run.telemetry.url +
+                                  "/seriesz?name=resource:")
+                resources = json.loads(body)["series"]
+                _, _, body = _get(run.telemetry.url +
+                                  "/seriesz?name=gauge:")
+                gauges = json.loads(body)["series"]
+                threads = resources.get("resource:threads")
+                if threads and len(threads["points"]["raw"]) >= 2 \
+                        and "gauge:plan_cache_entries" in gauges:
                     break
                 time.sleep(0.02)
-            assert document["sampled"] >= 2
-            assert latest["threads"] >= 1
-            assert "plan_cache_entries" in latest["gauges"]
-        finally:
-            session.close_telemetry()
-        assert session._watchdog is None
+            assert len(threads["points"]["raw"]) >= 2
+            assert threads["points"]["raw"][-1]["last"] >= 1
+            assert all(name.startswith("resource:") for name in resources)
+            assert "gauge:plan_cache_entries" in gauges
+        assert session._timeseries is None
 
     def test_serve_telemetry_can_opt_out_of_the_watchdog(
             self, figure1_index):
+        # timeseries=False drops the store, and with it the resource
+        # watchdog and /seriesz
         session = SearchSession(figure1_index)
-        try:
-            server = session.serve_telemetry(port=0,
-                                             watchdog_interval=None)
-            _, _, body = _get(server.url + "/resourcez")
-            assert json.loads(body) == {"snapshots": [],
-                                        "breaches": []}
-        finally:
-            session.close_telemetry()
+        with session.serving(telemetry=True, timeseries=False) as run:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _get(run.telemetry.url + "/seriesz")
+            assert excinfo.value.code == 404
 
     def test_flamez_serves_the_session_profiler(self, figure1_index):
         session = SearchSession(figure1_index)
-        try:
-            server = session.serve_telemetry(port=0)
+        with session.serving(telemetry=True) as run:
             with session.profile_cpu(hz=500):
                 import time
                 deadline = time.monotonic() + 0.2
                 while time.monotonic() < deadline:
                     session.search(Q1)
-            _, _, body = _get(server.url + "/flamez")
+            _, _, body = _get(run.telemetry.url + "/flamez")
             assert "repro" in body  # engine frames dominate
-        finally:
-            session.close_telemetry()
 
     def test_close_telemetry_removes_global_registry(self, figure1_index):
         from repro.obs import get_metrics
         session = SearchSession(figure1_index)
-        session.serve_telemetry(port=0)
-        assert get_metrics().enabled
-        session.close_telemetry()
+        with session.serving(telemetry=True):
+            assert get_metrics().enabled
         assert not get_metrics().enabled
 
     def test_explicit_registry_is_respected(self, figure1_index,
@@ -258,12 +238,9 @@ class TestSessionTelemetry:
         registry = MetricsRegistry()
         registry.inc("results_emitted", 123)
         session = SearchSession(figure1_index)
-        try:
-            server = session.serve_telemetry(port=0, registry=registry)
-            _, _, body = _get(server.url + "/metrics")
+        with session.serving(telemetry=True, registry=registry) as run:
+            _, _, body = _get(run.telemetry.url + "/metrics")
             assert "repro_results_emitted_total 123" in body
-        finally:
-            session.close_telemetry()
 
 
 @pytest.fixture

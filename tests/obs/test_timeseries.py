@@ -29,7 +29,6 @@ class FakeClock:
 
 def _store(clock=None, **kwargs):
     kwargs.setdefault("detector", False)
-    kwargs.setdefault("probe_resources", False)
     return TimeSeriesStore(1.0, clock=clock or FakeClock(), **kwargs)
 
 
@@ -74,22 +73,24 @@ class TestScrape:
     def test_resource_probes_record_when_enabled(self):
         store = TimeSeriesStore(1.0, clock=FakeClock(),
                                 registry=MetricsRegistry(),
-                                detector=False, probe_resources=True)
+                                detector=False)
         store.scrape()
         assert "resource:threads" in store.names()
 
-    def test_record_resources_is_the_watchdog_feed(self):
-        store = _store()
-        store.record_resources({"timestamp": 1000.0,
-                                "rss_bytes": 4096, "open_fds": 12,
-                                "threads": 3,
-                                "tracemalloc_peak_bytes": None})
-        assert store.series("resource:rss_bytes")[0]["start"] == 1000.0
-        assert store.series("resource:open_fds")[0]["last"] == 12.0
+    def test_each_scrape_writes_one_point_per_resource_series(self):
+        clock = FakeClock(now=1000.0)
+        store = _store(clock)
+        for _ in range(3):
+            store.scrape()
+            clock.tick(1.0)
+        points = store.series("resource:threads")
+        assert [point["start"] for point in points] == \
+            [1000.0, 1001.0, 1002.0]
+        assert all(point["count"] == 1 for point in points)
 
     def test_scrape_loop_runs_on_a_daemon_thread(self):
         store = TimeSeriesStore(0.01, registry=MetricsRegistry(),
-                                detector=False, probe_resources=True)
+                                detector=False)
         with store:
             assert store.running
             thread = store._thread
@@ -317,7 +318,7 @@ class TestAnomalyWiring:
         store = TimeSeriesStore(
             1.0, clock=FakeClock(), registry=registry,
             detector=AnomalyDetector(min_samples=5),
-            sink=sink, flight=flight, probe_resources=False)
+            sink=sink, flight=flight)
         for _ in range(10):
             store.record("gauge:x", 2.0)
         store.record("gauge:x", 500.0)
@@ -347,7 +348,7 @@ class TestAnomalyWiring:
         store = TimeSeriesStore(
             1.0, clock=FakeClock(), registry=MetricsRegistry(),
             detector=AnomalyDetector(min_samples=2, window=4),
-            probe_resources=False, anomaly_capacity=3)
+            anomaly_capacity=3)
         for _ in range(6):
             store.record("gauge:x", 1.0)
         for step in range(10):  # alternate far-off values keep firing

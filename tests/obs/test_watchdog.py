@@ -1,4 +1,5 @@
-"""The resource watchdog: snapshots, rings and soft budgets."""
+"""The resource watchdog inside the time-series store: process probes,
+republished gauges and soft budgets, checked on every scrape."""
 
 import sys
 import time
@@ -7,9 +8,12 @@ import tracemalloc
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.watchdog import (BUDGET_KEYS, WATCHDOG_GAUGES,
-                                ResourceWatchdog, current_rss_bytes,
-                                open_fd_count)
+from repro.obs.timeseries import (BUDGET_KEYS, WATCHDOG_GAUGES,
+                                  TimeSeriesStore, current_rss_bytes,
+                                  open_fd_count, probe_process)
+
+RESOURCE_SERIES = ("resource:rss_bytes", "resource:open_fds",
+                   "resource:threads")
 
 
 class _RecordingSink:
@@ -18,6 +22,20 @@ class _RecordingSink:
 
     def emit(self, kind, payload):
         self.events.append((kind, payload))
+
+
+class _RecordingFlight:
+    def __init__(self):
+        self.reasons = []
+
+    def trigger(self, reason):
+        self.reasons.append(reason)
+
+
+def _store(**kwargs):
+    kwargs.setdefault("registry", MetricsRegistry())
+    kwargs.setdefault("detector", False)
+    return TimeSeriesStore(**kwargs)
 
 
 class TestProbes:
@@ -39,160 +57,180 @@ class TestProbes:
 class TestConstruction:
     def test_rejects_bad_interval_and_capacity(self):
         with pytest.raises(ValueError):
-            ResourceWatchdog(interval=0)
+            TimeSeriesStore(interval=0)
         with pytest.raises(ValueError):
-            ResourceWatchdog(interval=-1)
+            TimeSeriesStore(interval=-1)
         with pytest.raises(ValueError):
-            ResourceWatchdog(capacity=0)
+            TimeSeriesStore(capacity={"raw": 0})
 
     def test_rejects_unknown_budget_keys(self):
         with pytest.raises(ValueError, match="max_rss_gb"):
-            ResourceWatchdog(budgets={"max_rss_gb": 1})
+            TimeSeriesStore(budgets={"max_rss_gb": 1})
         # every built-in key and the gauge:<name> form are accepted
-        ResourceWatchdog(budgets=dict.fromkeys(BUDGET_KEYS, 1))
-        ResourceWatchdog(budgets={"gauge:plan_cache_entries": 1})
+        TimeSeriesStore(budgets=dict.fromkeys(BUDGET_KEYS, 1))
+        TimeSeriesStore(budgets={"gauge:plan_cache_entries": 1})
 
 
 class TestSnapshots:
     def test_snap_shape(self):
-        watchdog = ResourceWatchdog(registry=MetricsRegistry())
-        snapshot = watchdog.snap()
-        assert set(snapshot) == {"timestamp", "rss_bytes", "open_fds",
-                                 "threads", "tracemalloc_peak_bytes",
-                                 "gauges"}
-        assert snapshot["threads"] >= 1
-        assert watchdog.sampled == 1
-        assert len(watchdog) == 1
+        process = probe_process()
+        assert tuple(process) == ("rss_bytes", "open_fds", "threads",
+                                  "tracemalloc_peak_bytes")
+        assert process["threads"] >= 1
+        store = _store()
+        store.scrape(now=1.0)
+        assert store.scrapes == 1
+        for name in RESOURCE_SERIES:
+            if name != "resource:threads" and \
+                    not sys.platform.startswith("linux"):
+                continue
+            (point,) = store.series(name)
+            assert point["start"] == 1.0 and point["count"] == 1
 
     def test_snap_republishes_process_gauges(self):
         registry = MetricsRegistry()
-        snapshot = ResourceWatchdog(registry=registry).snap()
+        store = _store(registry=registry)
+        store.scrape(now=1.0)
         for field, gauge in (("rss_bytes", "process_rss_bytes"),
                              ("open_fds", "process_open_fds"),
                              ("threads", "process_threads")):
-            if snapshot[field] is not None:
-                assert registry.gauge(gauge) == snapshot[field]
-                assert gauge in WATCHDOG_GAUGES
+            assert gauge in WATCHDOG_GAUGES
+            points = store.series(f"resource:{field}")
+            if points:
+                # the registry gauge and the resource series carry the
+                # same reading of one probe
+                assert registry.gauge(gauge) == points[-1]["last"]
+                assert store.series(f"gauge:{gauge}")[-1]["last"] == \
+                    points[-1]["last"]
 
     def test_snap_captures_registry_gauges(self):
         registry = MetricsRegistry()
         registry.gauge_set("plan_cache_entries", 7)
-        snapshot = ResourceWatchdog(registry=registry).snap()
-        assert snapshot["gauges"]["plan_cache_entries"] == 7
+        store = _store(registry=registry)
+        store.scrape(now=1.0)
+        assert store.series("gauge:plan_cache_entries")[-1]["last"] == 7
 
     def test_tracemalloc_peak_none_unless_tracing(self):
         registry = MetricsRegistry()
-        watchdog = ResourceWatchdog(registry=registry)
-        assert watchdog.snap()["tracemalloc_peak_bytes"] is None
+        store = _store(registry=registry)
+        assert probe_process()["tracemalloc_peak_bytes"] is None
+        store.scrape(now=1.0)
+        assert "tracemalloc_peak_bytes" not in registry.gauges
         tracemalloc.start()
         try:
-            peak = watchdog.snap()["tracemalloc_peak_bytes"]
+            store.scrape(now=2.0)
+            peak = registry.gauge("tracemalloc_peak_bytes")
         finally:
             tracemalloc.stop()
-        assert isinstance(peak, int)
-        assert registry.gauge("tracemalloc_peak_bytes") == peak
+        assert isinstance(peak, int) and peak > 0
 
     def test_ring_keeps_newest_but_counts_lifetime(self):
-        watchdog = ResourceWatchdog(capacity=3,
-                                    registry=MetricsRegistry())
-        for _ in range(5):
-            watchdog.snap()
-        assert len(watchdog) == 3
-        assert watchdog.sampled == 5
-        snapshots = watchdog.snapshots()
-        assert snapshots == sorted(snapshots,
-                                   key=lambda s: s["timestamp"])
-        assert list(watchdog) == snapshots
+        store = _store(capacity={"raw": 3})
+        for step in range(5):
+            store.scrape(now=float(step))
+        points = store.series("resource:threads")
+        assert [point["start"] for point in points] == [2.0, 3.0, 4.0]
+        assert store.scrapes == 5
 
     def test_null_metrics_snapshot_has_no_gauges(self):
         # default registry resolution reaches NULL_METRICS here
-        snapshot = ResourceWatchdog().snap()
-        assert snapshot["gauges"] == {}
+        store = TimeSeriesStore(detector=False)
+        store.scrape(now=1.0)
+        assert not any(name.startswith("gauge:")
+                       for name in store.names())
+        assert "resource:threads" in store.names()
 
 
 class TestBudgets:
     def test_rss_budget_breach_is_recorded_counted_and_emitted(self):
+        if current_rss_bytes() is None:
+            pytest.skip("no RSS probe on this platform")
         registry = MetricsRegistry()
         sink = _RecordingSink()
-        watchdog = ResourceWatchdog(budgets={"max_rss_mb": 0.001},
-                                    registry=registry, sink=sink)
-        snapshot = watchdog.snap()
-        if snapshot["rss_bytes"] is None:
-            pytest.skip("no RSS probe on this platform")
-        assert watchdog.breached == 1
-        breach = watchdog.breaches()[0]
+        flight = _RecordingFlight()
+        store = _store(budgets={"max_rss_mb": 0.001},
+                       registry=registry, sink=sink, flight=flight)
+        store.scrape(now=5.0)
+        assert registry.counters["watchdog_breaches"] == 1
+        ((kind, breach),) = sink.events
+        assert kind == "resource_breach"
+        assert breach["timestamp"] == 5.0
         assert breach["budget"] == "max_rss_mb"
         assert breach["limit"] == 0.001
         assert breach["value"] > 0.001
-        assert registry.counters["watchdog_breaches"] == 1
-        assert sink.events == [("resource_breach", breach)]
+        assert flight.reasons == ["watchdog_breach"]
 
     def test_within_budget_records_nothing(self):
         registry = MetricsRegistry()
-        watchdog = ResourceWatchdog(budgets={"max_rss_mb": 1 << 20,
-                                             "max_threads": 10_000},
-                                    registry=registry)
-        watchdog.snap()
-        assert watchdog.breached == 0
+        sink = _RecordingSink()
+        store = _store(budgets={"max_rss_mb": 1 << 20,
+                                "max_threads": 10_000},
+                       registry=registry, sink=sink)
+        store.scrape(now=1.0)
         assert "watchdog_breaches" not in registry.counters
+        assert sink.events == []
 
     def test_gauge_budget_targets_a_named_gauge(self):
         registry = MetricsRegistry()
         registry.gauge_set("plan_cache_entries", 9)
-        watchdog = ResourceWatchdog(
-            budgets={"gauge:plan_cache_entries": 5}, registry=registry)
-        watchdog.snap()
-        assert watchdog.breached == 1
-        assert watchdog.breaches()[0]["value"] == 9
+        sink = _RecordingSink()
+        store = _store(budgets={"gauge:plan_cache_entries": 5},
+                       registry=registry, sink=sink)
+        store.scrape(now=1.0)
+        assert registry.counters["watchdog_breaches"] == 1
+        ((_, breach),) = sink.events
+        assert breach["budget"] == "gauge:plan_cache_entries"
+        assert breach["value"] == 9
 
     def test_max_cache_bytes_sums_cache_byte_gauges(self):
         registry = MetricsRegistry()
         registry.gauge_set("plan_cache_bytes", 600)
         registry.gauge_set("posting_cache_bytes", 500)
         registry.gauge_set("plan_cache_entries", 999_999)  # not summed
-        watchdog = ResourceWatchdog(budgets={"max_cache_bytes": 1000},
-                                    registry=registry)
-        watchdog.snap()
-        assert watchdog.breached == 1
-        assert watchdog.breaches()[0]["value"] == 1100
+        sink = _RecordingSink()
+        store = _store(budgets={"max_cache_bytes": 1000},
+                       registry=registry, sink=sink)
+        store.scrape(now=1.0)
+        ((_, breach),) = sink.events
+        assert breach["value"] == 1100
 
     def test_missing_gauge_budget_never_breaches(self):
-        watchdog = ResourceWatchdog(budgets={"gauge:absent": 1},
-                                    registry=MetricsRegistry())
-        watchdog.snap()
-        assert watchdog.breached == 0
+        registry = MetricsRegistry()
+        sink = _RecordingSink()
+        store = _store(budgets={"gauge:absent": 1}, registry=registry,
+                       sink=sink)
+        store.scrape(now=1.0)
+        assert sink.events == []
+        assert "watchdog_breaches" not in registry.counters
 
 
 class TestLifecycle:
     def test_background_sampling_accumulates(self):
-        watchdog = ResourceWatchdog(interval=0.01,
-                                    registry=MetricsRegistry())
-        with watchdog:
-            assert watchdog.running
+        store = _store(interval=0.01)
+        with store:
+            assert store.running
             deadline = time.monotonic() + 2.0
-            while watchdog.sampled < 3 and time.monotonic() < deadline:
+            while store.scrapes < 3 and time.monotonic() < deadline:
                 time.sleep(0.01)
-        assert not watchdog.running
-        assert watchdog.sampled >= 3  # immediate snap + periodic ones
+        assert not store.running
+        assert store.scrapes >= 3  # immediate scrape + periodic ones
+        assert len(store.series("resource:threads")) == store.scrapes
 
     def test_start_and_stop_are_idempotent(self):
-        watchdog = ResourceWatchdog(interval=0.01,
-                                    registry=MetricsRegistry())
-        assert watchdog.start() is watchdog
-        assert watchdog.start() is watchdog
-        watchdog.stop()
-        watchdog.stop()
-        assert not watchdog.running
+        store = _store(interval=0.01)
+        assert store.start() is store
+        assert store.start() is store
+        store.stop()
+        store.stop()
+        assert not store.running
 
     def test_as_json_document(self):
-        watchdog = ResourceWatchdog(interval=0.5, capacity=8,
-                                    budgets={"max_threads": 10_000},
-                                    registry=MetricsRegistry())
-        watchdog.snap()
-        document = watchdog.as_json()
-        assert document["interval_seconds"] == 0.5
-        assert document["budgets"] == {"max_threads": 10_000}
-        assert document["sampled"] == 1
-        assert document["breached"] == 0
-        assert len(document["snapshots"]) == 1
-        assert document["breaches"] == []
+        registry = MetricsRegistry()
+        registry.gauge_set("plan_cache_entries", 1)
+        store = _store(registry=registry)
+        store.scrape(now=1.0)
+        document = store.as_json(now=1.0, name="resource:")
+        assert set(document["series"]) <= set(RESOURCE_SERIES)
+        assert "resource:threads" in document["series"]
+        assert all(entry["kind"] == "level"
+                   for entry in document["series"].values())

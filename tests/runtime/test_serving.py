@@ -1,4 +1,4 @@
-"""The ``serving()`` lifecycle context and the deprecated wrappers."""
+"""The ``serving()`` lifecycle context."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 
 from repro.index.inverted import InvertedIndex
 from repro.obs.metrics import MetricsRegistry, set_global_metrics
-from repro.runtime import session as session_module
 from repro.runtime.session import SearchSession, ServingHandles
 
 from tests.conftest import Q1
@@ -24,7 +23,7 @@ def test_serving_defaults_start_nothing(session):
     with session.serving() as run:
         assert isinstance(run, ServingHandles)
         assert run.telemetry is None
-        assert run.watchdog is None
+        assert run.timeseries is None
         assert run.profiler is None
         assert run.slow_log is None
         assert run.sink is None
@@ -32,18 +31,20 @@ def test_serving_defaults_start_nothing(session):
 
 
 def test_serving_telemetry_starts_endpoint_and_watchdog(session):
+    # the resource watchdog is the time-series store's scrape
     previous = set_global_metrics(None)
     try:
         with session.serving(telemetry=True) as run:
             assert run.telemetry is not None
-            assert run.watchdog is not None and run.watchdog.running
+            assert run.timeseries is not None and run.timeseries.running
+            assert run.timeseries.interval == 1.0
             session.search(Q1)
             with urllib.request.urlopen(run.telemetry.url
                                         + "/healthz") as response:
                 health = json.loads(response.read())
             assert health["keywords"] > 0
         assert session._telemetry is None
-        assert session._watchdog is None
+        assert session._timeseries is None
         # The serving-owned process-global registry was removed.
         assert set_global_metrics(None) is None
     finally:
@@ -52,24 +53,41 @@ def test_serving_telemetry_starts_endpoint_and_watchdog(session):
 
 def test_serving_watchdog_alone(session):
     registry = MetricsRegistry()
-    with session.serving(watchdog=0.05, registry=registry) as run:
+    with session.serving(timeseries=0.05, registry=registry) as run:
         assert run.telemetry is None
-        assert run.watchdog.running
-    assert session._watchdog is None
+        assert run.timeseries.running
+        assert run.timeseries._registry is registry
+    assert session._timeseries is None
 
 
 def test_serving_watchdog_dict_options(session):
     budgets = {"max_rss_mb": 10**6}
-    with session.serving(watchdog={"interval": 0.05,
-                                   "budgets": budgets}) as run:
-        assert run.watchdog.running
-        assert run.watchdog.budgets == budgets
+    with session.serving(timeseries={"interval": 0.05,
+                                     "budgets": budgets}) as run:
+        assert run.timeseries.running
+        assert run.timeseries.budgets == budgets
 
 
 def test_serving_watchdog_false_opts_out_of_telemetry_default(session):
-    with session.serving(telemetry=True, watchdog=False) as run:
+    with session.serving(telemetry=True, timeseries=False) as run:
         assert run.telemetry is not None
-        assert run.watchdog is None
+        assert run.timeseries is None
+        with urllib.request.urlopen(run.telemetry.url
+                                    + "/healthz") as response:
+            assert response.status == 200
+
+
+@pytest.mark.parametrize("name", [
+    "serve_telemetry", "close_telemetry", "start_watchdog",
+    "stop_watchdog", "start_cpu_profiler", "stop_cpu_profiler"])
+def test_old_lifecycle_names_are_gone(session, name):
+    assert not hasattr(session, name)
+
+
+def test_serving_no_longer_takes_a_watchdog(session):
+    with pytest.raises(TypeError):
+        with session.serving(watchdog=1.0):
+            pass
 
 
 def test_serving_cpu_profiler(session):
@@ -122,60 +140,5 @@ def test_serving_tears_down_when_body_raises(session):
         with session.serving(telemetry=True, cpu_profiler=True):
             raise RuntimeError("boom")
     assert session._telemetry is None
-    assert session._watchdog is None
+    assert session._timeseries is None
     assert session._profiler is None
-
-
-DEPRECATED = [
-    ("serve_telemetry", (), {"watchdog_interval": None}),
-    ("close_telemetry", (), {}),
-    ("start_watchdog", (0.05,), {}),
-    ("stop_watchdog", (), {}),
-    ("start_cpu_profiler", (), {}),
-    ("stop_cpu_profiler", (), {}),
-]
-
-
-@pytest.mark.parametrize("name,args,kwargs", DEPRECATED,
-                         ids=[entry[0] for entry in DEPRECATED])
-def test_old_lifecycle_names_warn_once(session, name, args, kwargs,
-                                       monkeypatch):
-    monkeypatch.setattr(session_module, "_DEPRECATION_WARNED", set())
-    with pytest.warns(DeprecationWarning,
-                      match=rf"SearchSession\.{name}\(\) is deprecated"
-                      r".*docs/API\.md"):
-        getattr(session, name)(*args, **kwargs)
-    with warnings_catcher() as caught:
-        getattr(session, name)(*args, **kwargs)
-    assert caught == []
-    session._close_serving()
-
-
-def warnings_catcher():
-    import warnings
-
-    class _Catcher:
-        def __enter__(self):
-            self._ctx = warnings.catch_warnings(record=True)
-            self.records = self._ctx.__enter__()
-            warnings.simplefilter("always")
-            return self.records
-
-        def __exit__(self, *exc):
-            return self._ctx.__exit__(*exc)
-
-    return _Catcher()
-
-
-def test_deprecated_wrappers_still_work(session):
-    monkey_set = session_module._DEPRECATION_WARNED
-    monkey_set.update(name for name, _, _ in DEPRECATED)
-    try:
-        watchdog = session.start_watchdog(interval=0.05)
-        assert watchdog.running
-        assert session.stop_watchdog() is watchdog
-        profiler = session.start_cpu_profiler()
-        assert profiler.running
-        assert session.stop_cpu_profiler() is profiler
-    finally:
-        session._close_serving()

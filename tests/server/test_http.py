@@ -20,8 +20,7 @@ Q1 = "(XML keyword search (Paul Cooper) (Mary Davis))"
 @pytest.fixture()
 def server(store_path):
     session = SearchSession.from_store(store_path)
-    with SearchServer(session, index_path=store_path,
-                      watchdog_interval=None) as live:
+    with SearchServer(session, index_path=store_path) as live:
         yield live
 
 
@@ -129,8 +128,7 @@ class TestOverload:
                                            monkeypatch):
         monkeypatch.setenv(DELAY_ENV, "300")
         session = SearchSession.from_store(store_path)
-        with SearchServer(session, workers=1, queue_limit=0,
-                          watchdog_interval=None) as server:
+        with SearchServer(session, workers=1, queue_limit=0) as server:
             statuses, headers = [], []
             lock = threading.Lock()
 
@@ -165,7 +163,7 @@ class TestOverload:
     def test_timeout_is_504(self, store_path, monkeypatch):
         monkeypatch.setenv(DELAY_ENV, "500")
         session = SearchSession.from_store(store_path)
-        with SearchServer(session, watchdog_interval=None) as server:
+        with SearchServer(session) as server:
             status, body, _ = http_post(
                 server.url + "/search",
                 {"query": Q1, "timeout_seconds": 0.05})
@@ -181,8 +179,7 @@ class TestHotSwap:
     def test_reload_under_load_drops_nothing(self, store_path):
         session = SearchSession.from_store(store_path)
         with SearchServer(session, index_path=store_path,
-                          workers=4, queue_limit=32,
-                          watchdog_interval=None) as server:
+                          workers=4, queue_limit=32) as server:
             baseline = server.session.search(Q1)
             expected = [wire.result_to_wire(row) for row in baseline]
             failures, lock = [], threading.Lock()
@@ -218,8 +215,7 @@ class TestHotSwap:
 
     def test_reload_without_path_is_an_error(self, store_path):
         session = SearchSession.from_store(store_path)
-        with SearchServer(session,
-                          watchdog_interval=None) as server:
+        with SearchServer(session) as server:
             with pytest.raises(Exception, match="index_path"):
                 server.reload()
 
@@ -242,7 +238,6 @@ class TestServeEntryPoint:
             target=serve,
             args=(str(store_path),),
             kwargs={"port": 0, "workers": 2, "queue_limit": 2,
-                    "watchdog_interval": None,
                     "ready": ready, "stop": stop})
         runner.start()
         runner.join(timeout=30)
@@ -258,7 +253,7 @@ class TestLifecycle:
         sentinel_tracer = set_global_tracer(None)
         try:
             session = SearchSession.from_store(store_path)
-            server = SearchServer(session, watchdog_interval=None)
+            server = SearchServer(session)
             server.close()
             server.close()  # idempotent
             assert set_global_metrics(None) is None

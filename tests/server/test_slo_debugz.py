@@ -7,8 +7,8 @@ import urllib.request
 
 import pytest
 
-from repro.obs import (FLIGHT_BUNDLE_FIELDS, MetricsRegistry,
-                       FlightRecorder, SLOEngine)
+from repro.obs import (FLIGHT_BUNDLE_FIELDS, FLIGHT_SCHEMA_VERSION,
+                       MetricsRegistry, FlightRecorder, SLOEngine)
 from repro.runtime.session import SearchSession
 from repro.server import SearchServer
 
@@ -42,8 +42,11 @@ def frozen(store_path):
                               traces_provider=list)
     session = SearchSession.from_store(store_path)
     with SearchServer(session, index_path=store_path,
-                      watchdog_interval=None, slo=engine,
+                      slo=engine,
                       flight=recorder) as live:
+        # the bundle embeds the store's gauge history: stop the scrape
+        # loop so no sample lands between an HTTP read and an API call
+        live.timeseries.stop()
         yield live, engine, recorder, clock
 
 
@@ -108,7 +111,7 @@ class TestBreachThroughTheServer:
                                   traces_provider=list)
         session = SearchSession.from_store(store_path)
         with SearchServer(session, index_path=store_path,
-                          watchdog_interval=None, slo=engine,
+                          slo=engine,
                           flight=recorder) as server:
             for _ in range(3):  # malformed bodies: 400 = outcome error
                 status, _, _ = http_post(server.url + "/search", {},
@@ -134,8 +137,7 @@ class TestBreachThroughTheServer:
 class TestDefaults:
     def test_default_server_serves_sloz_and_debugz(self, store_path):
         session = SearchSession.from_store(store_path)
-        with SearchServer(session, index_path=store_path,
-                          watchdog_interval=None) as server:
+        with SearchServer(session, index_path=store_path) as server:
             http_post(server.url + "/search", {"query": Q1})
             status, sloz = http_get(server.url + "/sloz")
             assert status == 200
@@ -146,13 +148,16 @@ class TestDefaults:
             assert names == {"availability_99_9", "latency_p99_50ms"}
             status, bundle = http_get(server.url + "/debugz")
             assert status == 200
-            assert bundle["schema"] == 1
+            assert bundle["schema"] == FLIGHT_SCHEMA_VERSION
             assert bundle["event_stats"]["recorded"] >= 2
+            # the gauge history is the server store's raw gauge series
+            assert "gauge:server_inflight_requests" in \
+                bundle["gauge_snapshots"]
 
     def test_disabled_slo_and_flight_are_404(self, store_path):
         session = SearchSession.from_store(store_path)
         with SearchServer(session, index_path=store_path,
-                          watchdog_interval=None, slo=False,
+                          slo=False,
                           flight=False) as server:
             for route in ("/sloz", "/debugz"):
                 status, _ = http_get(server.url + route)
@@ -160,8 +165,7 @@ class TestDefaults:
 
     def test_healthz_reports_generation_and_inflight(self, store_path):
         session = SearchSession.from_store(store_path)
-        with SearchServer(session, index_path=store_path,
-                          watchdog_interval=None) as server:
+        with SearchServer(session, index_path=store_path) as server:
             status, body = http_get(server.url + "/healthz")
             assert status == 200
             assert body["index_generation"] == 0

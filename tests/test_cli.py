@@ -6,6 +6,7 @@ import logging
 import pytest
 
 from repro.cli import main
+from repro.obs import FLIGHT_SCHEMA_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ class TestGenerateAndStats:
 class TestIndexAndSearch:
     def test_index_then_search(self, document, tmp_path, capsys):
         store = tmp_path / "dblp.idx"
-        assert main(["index", str(document), str(store)]) == 0
+        assert main(["index", "build", str(document), str(store)]) == 0
         capsys.readouterr()
         assert main(["search", str(document), "((Lei Chen) (Yi Guo))",
                      "--index", str(store)]) == 0
@@ -91,7 +92,7 @@ class TestAdvancedSearch:
 
     def test_streaming_index(self, document, tmp_path, capsys):
         store = tmp_path / "stream.idx"
-        assert main(["index", str(document), str(store),
+        assert main(["index", "build", str(document), str(store),
                      "--stream"]) == 0
         capsys.readouterr()
         assert main(["search", str(document), "(lei chen)",
@@ -100,7 +101,8 @@ class TestAdvancedSearch:
 
 
 class TestIndexSubcommands:
-    """`index build|merge|inspect`, formats and the legacy alias."""
+    """`index build|merge|inspect`, formats and the retired bare
+    spelling."""
 
     def test_build_defaults_to_v2(self, document, tmp_path, capsys):
         store = tmp_path / "dblp.idx2"
@@ -116,14 +118,14 @@ class TestIndexSubcommands:
         assert "(v1)" in capsys.readouterr().out
         assert store.read_bytes().startswith(b"CKSIDX1\n")
 
-    def test_legacy_spelling_still_builds(self, document, tmp_path,
-                                          caplog):
+    def test_legacy_spelling_is_a_usage_error(self, document, tmp_path,
+                                              capsys):
         store = tmp_path / "legacy.idx"
-        with caplog.at_level(logging.WARNING, logger="repro.cli"):
-            assert main(["index", str(document), str(store)]) == 0
-        assert store.exists()
-        assert any("deprecated" in record.getMessage()
-                   for record in caplog.records)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["index", str(document), str(store)])
+        assert excinfo.value.code == 2  # argparse's usage error
+        assert "invalid choice" in capsys.readouterr().err
+        assert not store.exists()
 
     @pytest.mark.parametrize("fmt", ["v1", "v2"])
     def test_search_autodetects_format(self, document, tmp_path, fmt,
@@ -207,7 +209,7 @@ class TestExplain:
     def test_explain_against_index_emits_full_profile(self, document,
                                                       tmp_path, capsys):
         store = tmp_path / "dblp.idx"
-        assert main(["index", str(document), str(store)]) == 0
+        assert main(["index", "build", str(document), str(store)]) == 0
         capsys.readouterr()
         assert main(["explain", "((Lei Chen) (Yi Guo))",
                      "--index", str(store), "--format", "json"]) == 0
@@ -520,13 +522,13 @@ class TestServeSubcommand:
         monkeypatch.setattr(repro.server, "serve", spy)
         assert main(["serve", "INDEX.ckx", "--port", "1234",
                      "--workers", "2", "--queue-limit", "3",
-                     "--timeout", "5", "--no-watchdog"]) == 0
+                     "--timeout", "5", "--series-interval", "0"]) == 0
         assert calls["store"] == "INDEX.ckx"
         assert calls["port"] == 1234
         assert calls["workers"] == 2
         assert calls["queue_limit"] == 3
         assert calls["request_timeout"] == 5.0
-        assert calls["watchdog_interval"] is None
+        assert calls["series_interval"] is None
 
     def test_serve_defaults(self, monkeypatch):
         import repro.server
@@ -538,7 +540,8 @@ class TestServeSubcommand:
         assert calls["port"] == 8080
         assert calls["workers"] == 4
         assert calls["queue_limit"] == 16
-        assert calls["watchdog_interval"] == 1.0
+        assert calls["series_interval"] == 1.0
+        assert "watchdog_interval" not in calls
         assert calls["slow_query_ms"] is None
         assert calls["events_jsonl"] is None
         assert calls["slo"] is True  # default objectives
@@ -566,16 +569,15 @@ class TestDebugzSubcommand:
         from repro.runtime import SearchSession
         from repro.server import SearchServer
         store = tmp_path / "dblp.ckx"
-        assert main(["index", str(document), str(store)]) == 0
+        assert main(["index", "build", str(document), str(store)]) == 0
         session = SearchSession.from_store(store)
-        with SearchServer(session, index_path=store,
-                          watchdog_interval=None) as server:
+        with SearchServer(session, index_path=store) as server:
             yield server
 
     def test_debugz_prints_the_bundle(self, live_server, capsys):
         assert main(["debugz", live_server.url]) == 0
         bundle = json.loads(capsys.readouterr().out)
-        assert bundle["schema"] == 1
+        assert bundle["schema"] == FLIGHT_SCHEMA_VERSION
         assert bundle["reason"] == "on_demand"
 
     def test_debugz_out_writes_the_file(self, live_server, tmp_path,
@@ -584,7 +586,7 @@ class TestDebugzSubcommand:
         assert main(["debugz", live_server.url + "/",
                      "--out", str(target)]) == 0
         bundle = json.loads(target.read_text(encoding="utf-8"))
-        assert bundle["schema"] == 1
+        assert bundle["schema"] == FLIGHT_SCHEMA_VERSION
         assert "reason=on_demand" in capsys.readouterr().out
 
 
@@ -634,7 +636,7 @@ class TestTrace:
 
     def test_trace_against_prebuilt_index(self, document, tmp_path):
         store = tmp_path / "dblp.idx"
-        assert main(["index", str(document), str(store)]) == 0
+        assert main(["index", "build", str(document), str(store)]) == 0
         out = tmp_path / "trace.json"
         assert main(["trace", str(document), self.QUERY,
                      "--index", str(store), "--out", str(out)]) == 0

@@ -115,8 +115,7 @@ def test_entry_points_agree(tree, query):
 @pytest.fixture(scope="module")
 def live_server():
     session = SearchSession(InvertedIndex({}))
-    with SearchServer(session, watchdog_interval=None,
-                      series_interval=None) as server:
+    with SearchServer(session, series_interval=None) as server:
         yield server
 
 
