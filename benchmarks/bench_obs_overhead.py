@@ -16,10 +16,10 @@ workload through one :class:`SearchSession`):
 * **active** — a live :class:`MetricsRegistry` in scope, counters,
   histograms and spans all recording.  Must cost < 15% over null.
 * **profiled** — the active configuration with the continuous
-  profiling layer on top, started through ``SearchSession.serving``:
-  a 50 hz :class:`StackSampler` and a 1-second
-  :class:`TimeSeriesStore` (the process's one resource sampler)
-  running on their daemon threads.
+  profiling layer on top: a whole-process 50 hz :class:`StackSampler`
+  and a 1-second :class:`TimeSeriesStore` (the process's one resource
+  sampler) over the active registry, each started directly and
+  running on its daemon thread.
   Must cost < 10% over the metrics-only active baseline — the
   always-on-in-production promise of docs/OBSERVABILITY.md's
   "Continuous profiling" section.
@@ -57,6 +57,8 @@ import repro.obs.metrics as metrics_mod
 import repro.runtime.session as session_mod
 from repro.obs import metrics_scope
 from repro.obs.metrics import NULL_METRICS
+from repro.obs.sampler import StackSampler
+from repro.obs.timeseries import TimeSeriesStore
 from repro.obs.tracing import NULL_TRACER
 from repro.runtime import SearchSession
 from repro.evaluation.reporting import format_table
@@ -216,13 +218,17 @@ def test_continuous_profiling_overhead(benchmark, efficiency_indexes):
 
     @contextmanager
     def profiled():
-        with metrics_scope() as registry, \
-                session.serving(cpu_profiler=SAMPLER_HZ,
-                                timeseries=SERIES_INTERVAL,
-                                registry=registry) as run:
-            yield
-        totals["samples"] += run.profiler.sample_count
-        totals["scrapes"] += run.timeseries.scrapes
+        with metrics_scope() as registry:
+            store = TimeSeriesStore(SERIES_INTERVAL,
+                                    registry=registry).start()
+            sampler = StackSampler(hz=SAMPLER_HZ).start()
+            try:
+                yield
+            finally:
+                store.stop()
+                sampler.stop()
+        totals["samples"] += sampler.sample_count
+        totals["scrapes"] += store.scrapes
 
     def compute():
         return _paired_ratio(session, queries, metrics_scope, profiled)

@@ -41,7 +41,7 @@ from repro.errors import (QuerySyntaxError, ReproError, TreeError,
                           XMLSyntaxError)
 from repro.index.inverted import InvertedIndex
 from repro.obs import (JsonlSink, MetricsRegistry, QueryProfile,
-                       SlowQueryLog, TelemetryServer, TraceSpan, Tracer,
+                       SlowQueryLog, TraceSpan, Tracer,
                        configure_logging, get_metrics, get_tracer,
                        metrics_scope, to_chrome_trace, to_openmetrics,
                        trace_scope, write_chrome_trace)
@@ -51,8 +51,7 @@ from repro.index.store_v2 import (LazyIndex, merge_index, open_index,
                                   save_index_v2)
 from repro.index.streaming import index_xml, index_xml_path
 from repro.runtime import (ALGORITHMS, CompiledPlan, OptionsError,
-                           RANK_MODES, SearchOptions, SearchSession,
-                           ServingHandles)
+                           RANK_MODES, SearchOptions, SearchSession)
 from repro.server import (SearchServer, WIRE_SCHEMA_VERSION, WireError,
                           serve)
 from repro.tree.builder import TreeBuilder, build_tree
@@ -66,7 +65,6 @@ __version__ = "1.0.0"
 __all__ = [
     "SearchSession",
     "SearchOptions",
-    "ServingHandles",
     "SearchServer",
     "serve",
     "WireError",
@@ -128,7 +126,6 @@ __all__ = [
     "JsonlSink",
     "QueryProfile",
     "SlowQueryLog",
-    "TelemetryServer",
     "Tracer",
     "TraceSpan",
     "get_tracer",

@@ -33,7 +33,9 @@ shared-scan batch (`repro.runtime`).
 
 ``serve IDX --port 8080`` runs the network-facing search service over
 a posting store: ``POST /search`` / ``POST /batch`` / ``GET /explain``
-in the wire format, plus ``/healthz``, ``/metrics`` and ``/tracez``;
+in the wire format, plus the introspection routes (``/healthz``,
+``/metrics``, ``/profilez``, ``/tracez``, ``/flamez``, ``/sloz``,
+``/debugz``, ``/seriesz``);
 bounded admission replies 429 under overload, SIGHUP hot-swaps the
 index with zero dropped requests (docs/SERVER.md).
 
@@ -48,11 +50,13 @@ tree|json`` runs the query profiler and emits the full
 takes ``--slow-query-ms N`` (capture profiles of queries at or above
 the threshold), ``--events-jsonl PATH`` (one schema-versioned JSONL
 event per query/batch), ``--telemetry-port N`` /
-``--telemetry-linger S`` (serve ``/metrics``, ``/healthz``,
-``/profilez``, ``/tracez``, ``/flamez``, ``/sloz``, ``/debugz`` and
-``/seriesz`` over HTTP during — and ``S`` seconds past — the run; a
-1s time-series scrape loop samples the registry and the process's
-RSS/fds/threads into ``/seriesz`` while the endpoint is up),
+``--telemetry-linger S`` (run a :class:`~repro.server.app.SearchServer`
+over the run's session during — and ``S`` seconds past — the run, so
+``POST /search`` and every introspection route — ``/metrics``,
+``/healthz``, ``/profilez``, ``/tracez``, ``/flamez``, ``/sloz``,
+``/debugz``, ``/seriesz`` — answer exactly as under ``serve``; the
+in-process searches reach the flight ring and the event sink, while
+``/sloz`` counts HTTP requests only),
 ``top URL`` (``--once`` for a single
 frame) renders the ``/seriesz`` history as a live sparkline console,
 ``--trace-dir DIR`` (write one Perfetto-loadable
@@ -221,12 +225,15 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "event per query/batch to PATH")
     search_cmd.add_argument("--telemetry-port", dest="telemetry_port",
                             type=int, default=None, metavar="PORT",
-                            help="serve /metrics, /healthz and /profilez "
-                                 "on PORT (0 picks a free port) during "
-                                 "the run")
+                            help="run the search server's HTTP surface "
+                                 "(the work routes plus /metrics, "
+                                 "/healthz, /profilez, /tracez, /flamez, "
+                                 "/sloz, /debugz, /seriesz) over this "
+                                 "run's session on PORT (0 picks a free "
+                                 "port) during the run")
     search_cmd.add_argument("--telemetry-linger", dest="telemetry_linger",
                             type=float, default=0.0, metavar="SECONDS",
-                            help="keep the telemetry endpoint up this "
+                            help="keep the telemetry port up this "
                                  "many seconds after the results (for "
                                  "scrapers; default 0)")
     search_cmd.add_argument("--trace-dir", dest="trace_dir", default=None,
@@ -403,9 +410,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "debugz", help="fetch a running server's /debugz diagnostic "
                        "bundle (docs/OBSERVABILITY.md)")
     debugz_cmd.add_argument("url",
-                            help="base URL of a running server or "
-                                 "telemetry endpoint (e.g. "
-                                 "http://127.0.0.1:8080)")
+                            help="base URL of a running server — "
+                                 "serve or search --telemetry-port "
+                                 "(e.g. http://127.0.0.1:8080)")
     debugz_cmd.add_argument("--out", default=None, metavar="PATH",
                             help="write the bundle JSON to PATH "
                                  "instead of stdout")
@@ -418,9 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "/seriesz (ANSI sparklines; "
                     "docs/OBSERVABILITY.md)")
     top_cmd.add_argument("url",
-                         help="base URL of a running server or "
-                              "telemetry endpoint (e.g. "
-                              "http://127.0.0.1:8080)")
+                         help="base URL of a running server — "
+                              "serve or search --telemetry-port "
+                              "(e.g. http://127.0.0.1:8080)")
     top_cmd.add_argument("--interval", type=float, default=2.0,
                          metavar="SECONDS",
                          help="repaint every SECONDS (default 2)")
@@ -508,7 +515,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     tracer = Tracer(memory=True)
     try:
         with trace_scope(tracer):
-            status = _search_observed(args)
+            status = _search_observed(args, tracer)
         directory = Path(args.trace_dir)
         directory.mkdir(parents=True, exist_ok=True)
         trace_ids = tracer.trace_ids()
@@ -521,16 +528,16 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return status
 
 
-def _search_observed(args: argparse.Namespace) -> int:
+def _search_observed(args: argparse.Namespace, tracer=None) -> int:
     observing = args.metrics or args.metrics_json \
         or args.telemetry_port is not None
     if not observing:
-        return _run_search(args)
+        return _run_search(args, tracer=tracer)
     import time as _time
     with metrics_scope() as registry:
         baseline = registry.snapshot()
         started = _time.perf_counter()
-        status = _run_search(args, registry)
+        status = _run_search(args, registry, tracer)
         elapsed = _time.perf_counter() - started
         snapshot = registry.snapshot()
     if args.metrics:
@@ -569,7 +576,7 @@ def _search_options(args: argparse.Namespace,
 
 
 def _run_search(args: argparse.Namespace,
-                registry=None) -> int:
+                registry=None, tracer=None) -> int:
     if args.query is None and args.workload is None:
         raise ReproError("search needs a query or --workload FILE")
     metrics = get_metrics()
@@ -582,39 +589,40 @@ def _run_search(args: argparse.Namespace,
     algorithm = _resolve_algorithm(args)
     options = _search_options(args, algorithm)
     session = SearchSession(index)
-    serving_kwargs: dict = {}
     if args.slow_query_ms is not None:
-        serving_kwargs["slow_query_log"] = args.slow_query_ms / 1000.0
+        session.configure_slow_query_log(args.slow_query_ms / 1000.0)
+    sink = None
     if args.events_jsonl:
-        serving_kwargs["events"] = args.events_jsonl
-    if args.telemetry_port is not None:
-        serving_kwargs["telemetry"] = {"port": args.telemetry_port}
-        serving_kwargs["registry"] = registry
-        # the full diagnostics surface rides along with telemetry:
-        # wide events feed default objectives and the flight ring, so
-        # /sloz, /debugz and /seriesz (telemetry's default 1s store)
-        # are live for the run's duration
-        serving_kwargs["slo"] = True
-        serving_kwargs["flight"] = True
+        from repro.obs.export import JsonlSink
+        sink = JsonlSink(args.events_jsonl)
+        session.attach_event_sink(sink)
+    server = None
     try:
-        with session.serving(**serving_kwargs) as run:
-            if run.telemetry is not None:
-                # flushed eagerly so a supervisor tailing a pipe can
-                # discover the bound port before the search finishes
-                print(f"-- telemetry on {run.telemetry.url} "
-                      f"(/metrics /healthz /profilez /tracez /flamez "
-                      f"/sloz /debugz /seriesz)", flush=True)
-            if args.flame_out:
-                with session.profile_cpu(hz=args.profile_hz) as sampler:
-                    status = _run_queries(args, session, options, tree)
-                _write_flame_profile(sampler, args.flame_out)
-            else:
+        if args.telemetry_port is not None:
+            from repro.server import SearchServer
+            from repro.server.wire import SERVER_ROUTES
+            server = SearchServer(session, port=args.telemetry_port,
+                                  registry=registry, tracer=tracer,
+                                  sink=sink)
+            routes = " ".join(route.split()[1] for route in SERVER_ROUTES)
+            # flushed eagerly so a supervisor tailing a pipe can
+            # discover the bound port before the search finishes
+            print(f"-- telemetry on {server.url} ({routes})", flush=True)
+        if args.flame_out:
+            with session.profile_cpu(hz=args.profile_hz) as sampler:
                 status = _run_queries(args, session, options, tree)
-            if run.telemetry is not None and args.telemetry_linger > 0:
-                import time
-                time.sleep(args.telemetry_linger)
-            return status
+            _write_flame_profile(sampler, args.flame_out)
+        else:
+            status = _run_queries(args, session, options, tree)
+        if server is not None and args.telemetry_linger > 0:
+            import time
+            time.sleep(args.telemetry_linger)
+        return status
     finally:
+        if server is not None:
+            server.close()
+        if sink is not None:
+            sink.close()
         slow_log = session.slow_query_log
         if slow_log is not None and slow_log.recorded:
             print(f"-- {slow_log.recorded} slow quer"

@@ -41,7 +41,6 @@ from repro.obs.profile import (PROFILE_SCHEMA_VERSION, QueryProfile,
                                SlowQueryLog)
 from repro.obs.report import format_report
 from repro.obs.sampler import StackSampler
-from repro.obs.server import TelemetryServer
 from repro.obs.slo import (DEFAULT_OBJECTIVES, SLO_GAUGES,
                            SLO_SCHEMA_VERSION, SLO_STATES, Objective,
                            SLOEngine, parse_objective)
@@ -92,7 +91,6 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "StackSampler",
-    "TelemetryServer",
     "TimeSeriesStore",
     "TraceSpan",
     "Tracer",

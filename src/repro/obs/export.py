@@ -11,7 +11,7 @@ the process:
   ``quantile="0.5|0.9|0.99"`` series backed by the
   :class:`~repro.obs.metrics.Histogram` reservoir, and phase
   timings become one labelled ``<ns>_phase_seconds`` family.  This is
-  what the telemetry endpoint (:mod:`repro.obs.server`) serves on
+  what the search server (:mod:`repro.server.app`) serves on
   ``/metrics``.
 * :class:`JsonlSink` appends schema-versioned JSON events, one per
   line, to a line-buffered file — the structured log a long-running

@@ -11,8 +11,8 @@ it with ``cohesive-search explain ... --format tree|json``.
 
 The :class:`SlowQueryLog` is a bounded ring buffer of the profiles of
 queries whose wall time crossed a threshold — the ``/profilez`` route
-of the telemetry endpoint (:mod:`repro.obs.server`) serves its
-contents as JSON, so a long-lived session's outliers are observable
+of the search server (:mod:`repro.server.app`) serves its contents as
+JSON, so a long-lived session's outliers are observable
 without stopping it.
 """
 
@@ -140,8 +140,8 @@ class SlowQueryLog:
     reaches it gets its full :class:`QueryProfile` captured.  The
     newest ``capacity`` profiles are retained; older ones fall off the
     ring.  Reads (:meth:`entries`, :meth:`as_json`) take a snapshot
-    under the same lock the recording side uses, so the telemetry
-    server thread can serve ``/profilez`` while the search thread
+    under the same lock the recording side uses, so an HTTP handler
+    thread can serve ``/profilez`` while the search thread
     keeps recording.
     """
 

@@ -1,25 +1,16 @@
-"""Shared route-table dispatch for the two HTTP surfaces.
+"""Route-table dispatch for the search server's HTTP surface.
 
-The telemetry endpoint (:class:`~repro.obs.server.TelemetryServer`)
-and the search service (:class:`~repro.server.app.SearchServer`) used
-to carry the same plumbing twice: an if/elif ladder over paths, an
-identical ``_reply`` helper, and hand-rolled 404/500 handling.  A new
-introspection route meant editing both ladders — which is exactly how
-``/sloz`` and ``/debugz`` drifted into being registered in two places.
-
-A :class:`RouteTable` is the single registration point: handlers are
-``params -> (status, content_type, body)`` callables keyed by path,
-:meth:`RouteTable.dispatch` parses the query string, replies, and
-converts handler exceptions into a 500 (after an optional
+A :class:`RouteTable` is the single registration point of the
+read-only routes :class:`~repro.server.app.SearchServer` serves:
+handlers are ``params -> (status, content_type, body)`` callables
+keyed by path, :meth:`RouteTable.dispatch` parses the query string,
+replies, and converts handler exceptions into a 500 (after an optional
 ``on_error`` hook — the search server counts them into
 ``server_errors``).  The handler factories below build the common
-route shapes, so ``/seriesz`` (and future routes) is defined once and
-mounted on both surfaces.
+route shapes (JSON, text, the filtered ``/seriesz`` document).
 
-:data:`SHARED_INTROSPECTION_ROUTES` is the catalogue of routes both
-surfaces serve; the docs-drift test holds it inside
-:data:`repro.server.wire.SERVER_ROUTES`, so docs/SERVER.md's single
-route table covers both servers.
+:data:`repro.server.wire.SERVER_ROUTES` is the one route catalogue;
+the docs-drift test holds docs/SERVER.md's route table to it.
 """
 
 from __future__ import annotations
@@ -33,17 +24,9 @@ from repro.obs.logconfig import get_logger
 
 _log = get_logger("obs.routes")
 
-#: Introspection routes served identically by the telemetry endpoint
-#: and the search server (docs/SERVER.md's route table documents them
-#: once; the drift test keeps this subset inside ``SERVER_ROUTES``).
-SHARED_INTROSPECTION_ROUTES = (
-    "GET /healthz",
-    "GET /metrics",
-    "GET /tracez",
-    "GET /sloz",
-    "GET /debugz",
-    "GET /seriesz",
-)
+#: The content type OpenMetrics scrapers negotiate for.
+OPENMETRICS_CONTENT_TYPE = \
+    "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
 #: A route handler: query parameters -> (status, content type, body).
 Handler = Callable[[dict], tuple]
@@ -52,7 +35,7 @@ Handler = Callable[[dict], tuple]
 def reply(request: BaseHTTPRequestHandler, status: int,
           content_type: str, body: str,
           headers: Optional[dict] = None) -> None:
-    """Send one complete HTTP response (the shared ``_reply``)."""
+    """Send one complete HTTP response."""
     payload = body.encode("utf-8")
     request.send_response(status)
     request.send_header("Content-Type", content_type)
@@ -73,14 +56,13 @@ class RouteError(Exception):
 
 
 class RouteTable:
-    """Path -> handler dispatch shared by both HTTP surfaces.
+    """Path -> handler dispatch.
 
     ``on_error`` (if given) is called with ``(path, exception)``
     before the 500 reply — the search server bumps ``server_errors``
     there.  Unknown paths are **not** handled here:
-    :meth:`dispatch` returns ``False`` so each server keeps its own
-    404 shape (plain text with a route listing on the telemetry
-    endpoint, a wire-format error body on the search server).
+    :meth:`dispatch` returns ``False`` so the caller owns the 404
+    (the search server replies a wire-format error body).
     """
 
     def __init__(self, on_error: Optional[Callable] = None):
@@ -150,7 +132,7 @@ def text_route(provider: Callable[[], str],
 
 
 def series_route(store_provider: Callable[[], object]) -> Handler:
-    """The one ``/seriesz`` definition, mounted on both surfaces.
+    """The ``/seriesz`` handler over a store provider.
 
     Serves the :meth:`~repro.obs.timeseries.TimeSeriesStore.as_json`
     document with ``sort_keys`` (byte-deterministic under a frozen

@@ -13,7 +13,7 @@ Output formats:
 
 * :meth:`StackSampler.to_collapsed` / :meth:`write_collapsed` — the
   folded text every flamegraph tool ingests (``flamegraph.pl``,
-  speedscope, pyroscope), also what the telemetry endpoint serves on
+  speedscope, pyroscope), also what the search server serves on
   ``/flamez``;
 * :func:`repro.obs.export.to_speedscope` turns the same folded counts
   into a speedscope JSON document for interactive drill-down.

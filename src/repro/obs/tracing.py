@@ -393,7 +393,7 @@ class Tracer:
 
     def summaries(self, limit: int = 32) -> list[dict]:
         """JSON-ready digests of the newest completed traces — what
-        the telemetry endpoint serves on ``/tracez``."""
+        the search server serves on ``/tracez``."""
         digests = []
         for trace_id in self.trace_ids()[:limit]:
             spans = self.spans(trace_id)

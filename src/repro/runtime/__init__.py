@@ -23,8 +23,7 @@ from repro.runtime.cache import LRUCache
 from repro.runtime.options import (ALGORITHMS, RANK_MODES, OptionsError,
                                    SearchOptions)
 from repro.runtime.session import (RUNTIME_COUNTERS, RUNTIME_GAUGES,
-                                   CompiledPlan, SearchSession,
-                                   ServingHandles)
+                                   CompiledPlan, SearchSession)
 
 __all__ = [
     "ALGORITHMS",
@@ -32,7 +31,6 @@ __all__ = [
     "OptionsError",
     "SearchOptions",
     "SearchSession",
-    "ServingHandles",
     "CompiledPlan",
     "LRUCache",
     "RUNTIME_COUNTERS",

@@ -104,19 +104,6 @@ class _SessionState:
 
 
 @dataclass(frozen=True)
-class ServingHandles:
-    """What :meth:`SearchSession.serving` started, for the block's use."""
-
-    telemetry: Optional[object] = None
-    profiler: Optional[object] = None
-    slow_log: Optional[SlowQueryLog] = None
-    sink: Optional[object] = None
-    slo: Optional[object] = None
-    flight: Optional[object] = None
-    timeseries: Optional[object] = None
-
-
-@dataclass(frozen=True)
 class CompiledPlan:
     """A query lowered once, reused across an entire session.
 
@@ -176,10 +163,7 @@ class SearchSession:
             self._slow_log = SlowQueryLog(slow_query_threshold,
                                           slow_log_capacity)
         self._event_sink = event_sink
-        self._telemetry = None
-        self._owns_global_registry = False
         self._profiler = None
-        self._timeseries = None
         self._slo = None
         self._flight = None
         self._generation = 0
@@ -862,7 +846,7 @@ class SearchSession:
                 "misses": counters.get("posting_decode_blocks", 0)},
         }
 
-    # -- continuous profiling / time series ---------------------------------
+    # -- continuous profiling -----------------------------------------------
 
     @contextmanager
     def profile_cpu(self, hz: Optional[float] = None):
@@ -881,43 +865,12 @@ class SearchSession:
         from repro.obs.sampler import DEFAULT_HZ, StackSampler
         sampler = StackSampler(hz=hz or DEFAULT_HZ,
                                thread_ids=(threading.get_ident(),))
-        self._profiler = sampler  # /flamez serves it during and after
+        # the search server's /flamez serves it during and after
+        self._profiler = sampler
         with sampler:
             yield sampler
 
-    def _start_cpu_profiler(self, hz: Optional[float] = None):
-        if self._profiler is not None and self._profiler.running:
-            return self._profiler
-        from repro.obs.sampler import DEFAULT_HZ, StackSampler
-        self._profiler = StackSampler(hz=hz or DEFAULT_HZ)
-        return self._profiler.start()
-
-    def _stop_cpu_profiler(self):
-        profiler, self._profiler = self._profiler, None
-        if profiler is not None:
-            profiler.stop()
-        return profiler
-
-    def _start_timeseries(self, interval: float = 1.0, registry=None,
-                          **options):
-        if self._timeseries is not None and self._timeseries.running:
-            return self._timeseries
-        from repro.obs.timeseries import TimeSeriesStore
-        options.setdefault("sink", self._event_sink)
-        options.setdefault("flight", self._flight)
-        self._timeseries = TimeSeriesStore(interval, registry=registry,
-                                           **options)
-        return self._timeseries.start()
-
-    def _stop_timeseries(self):
-        store, self._timeseries = self._timeseries, None
-        if store is not None:
-            store.stop()
-            if getattr(self._flight, "timeseries", None) is store:
-                self._flight.timeseries = None
-        return store
-
-    # -- slow-query log / event sink / telemetry ----------------------------
+    # -- slow-query log / event sink / SLO / flight recorder ----------------
 
     @property
     def slow_query_log(self) -> Optional[SlowQueryLog]:
@@ -951,27 +904,6 @@ class SearchSession:
         """The attached flight recorder, or ``None``."""
         return self._flight
 
-    @property
-    def timeseries_store(self):
-        """The attached time-series store, or ``None``."""
-        return self._timeseries
-
-    def console(self, *, interval: float = 2.0, once: bool = False,
-                out=None, frames=None) -> int:
-        """Render the live ops console (``cohesive-search top``) over
-        this session's own time-series store — no HTTP round-trip.
-
-        Requires an active ``serving(timeseries=...)`` block; returns
-        the number of frames rendered (see
-        :func:`repro.obs.console.run_top`).
-        """
-        if self._timeseries is None:
-            raise RuntimeError("no time-series store attached; enter "
-                               "serving(timeseries=True) first")
-        from repro.obs.console import run_top
-        return run_top(self._timeseries, interval=interval, once=once,
-                       out=out, frames=frames)
-
     def attach_slo_engine(self, slo) -> None:
         """Feed every search/batch wide event to ``slo`` (a
         :class:`repro.obs.slo.SLOEngine`); ``None`` detaches."""
@@ -979,225 +911,8 @@ class SearchSession:
 
     def attach_flight_recorder(self, flight) -> None:
         """Feed every search/batch wide event to ``flight`` (a
-        :class:`repro.obs.flight.FlightRecorder`); ``None`` detaches.
-        A time-series store started after this call triggers bundles
-        on anomalies and budget breaches, and the recorder reads its
-        gauge history."""
+        :class:`repro.obs.flight.FlightRecorder`); ``None`` detaches."""
         self._flight = flight
-
-    def _serve_telemetry(self, port: int = 0, host: str = "127.0.0.1",
-                         registry=None, namespace: str = "repro"):
-        from repro.obs.metrics import MetricsRegistry, set_global_metrics
-        from repro.obs.server import TelemetryServer
-        if self._telemetry is not None:
-            self._close_serving()
-        if registry is None:
-            registry = MetricsRegistry()
-            set_global_metrics(registry)
-            self._owns_global_registry = True
-        from repro.obs.tracing import recent_traces
-        self._telemetry = TelemetryServer(
-            registry.snapshot,
-            health_provider=self._health,
-            profiles_provider=lambda: (self._slow_log.as_json()
-                                       if self._slow_log is not None
-                                       else []),
-            traces_provider=recent_traces,
-            flame_provider=lambda: (self._profiler.to_collapsed()
-                                    if self._profiler is not None
-                                    else ""),
-            slo_provider=(lambda: self._slo.as_json())
-            if self._slo is not None else None,
-            debug_provider=(lambda: self._flight.bundle())
-            if self._flight is not None else None,
-            series_provider=lambda: self._timeseries,
-            port=port, host=host, namespace=namespace)
-        return self._telemetry
-
-    def _close_serving(self) -> None:
-        telemetry, self._telemetry = self._telemetry, None
-        if telemetry is not None:
-            telemetry.close()
-        self._stop_timeseries()
-        self._stop_cpu_profiler()
-        if self._owns_global_registry:
-            from repro.obs.metrics import set_global_metrics
-            set_global_metrics(None)
-            self._owns_global_registry = False
-
-    @contextmanager
-    def serving(self, telemetry=None, cpu_profiler=None,
-                slow_query_log=None, events=None, slo=None, flight=None,
-                timeseries=None, registry=None,
-                namespace: str = "repro"):
-        """Everything a long-lived serving process needs, one ``with``.
-
-        Starts exactly what the keyword arguments ask for, yields a
-        :class:`ServingHandles`, and tears everything down on exit —
-        in reverse order, idempotently, even when the body raises::
-
-            with session.serving(telemetry=9464) as run:
-                print(run.telemetry.url)
-                ...serve forever...
-
-        Parameters
-        ----------
-        telemetry:
-            ``True`` or a port number starts the live telemetry
-            endpoint (``/metrics`` ``/healthz`` ``/profilez``
-            ``/tracez`` ``/flamez`` ``/seriesz``, plus ``/sloz`` /
-            ``/debugz`` when ``slo`` / ``flight`` are on); a dict is
-            passed through to the endpoint constructor (``port=``,
-            ``host=``, ...).  Without an explicit ``registry`` a fresh
-            one is installed process-wide so every thread's searches
-            land in the scrape.  ``None``/``False`` serves nothing.
-        cpu_profiler:
-            ``True`` (default rate) or a sampling rate in hz starts
-            the continuous profiler feeding ``/flamez``.
-        slow_query_log:
-            Threshold in wall seconds (or a ``(threshold, capacity)``
-            pair) enables the slow-query log for the block.
-        events:
-            A :class:`repro.obs.export.JsonlSink` (attached, left
-            open) or a path (a sink is opened and closed with the
-            block).
-        slo:
-            ``True`` evaluates :data:`repro.obs.slo.DEFAULT_OBJECTIVES`
-            over every search/batch wide event; a sequence of
-            objective spec strings declares custom objectives; a
-            ready-made :class:`~repro.obs.slo.SLOEngine` is attached
-            as-is.  Engines the block constructs report breaches to
-            the block's event sink and registry, and — when a flight
-            recorder is also on — trigger an ``slo_page`` bundle on
-            page-state.  ``/sloz`` serves the engine when telemetry
-            is on.
-        flight:
-            ``True`` attaches a default
-            :class:`~repro.obs.flight.FlightRecorder`; an integer
-            sizes its wide-event ring; a ready-made recorder is
-            attached as-is.  ``/debugz`` serves its bundle when
-            telemetry is on, with the block's time-series store as
-            its gauge history.
-        timeseries:
-            ``True`` starts a 1-second
-            :class:`~repro.obs.timeseries.TimeSeriesStore` scrape
-            loop; a number sets the scrape interval; a dict is passed
-            through to the store constructor (``budgets=`` sets soft
-            resource budgets); a ready-made store is attached (and
-            started if stopped).  The store is the block's one
-            sampler: registry levels, rates and process resources go
-            into multi-resolution rings, anomalies and budget
-            breaches to the block's sink / flight recorder, and the
-            history is served on ``/seriesz`` when telemetry is on.
-            Default: a 1-second store when ``telemetry`` is on, none
-            otherwise; ``False`` keeps no history.
-        registry:
-            Metrics registry for the telemetry scrape and the store;
-            defaults to a fresh process-global one when telemetry is
-            on.
-        """
-        handles_sink = None
-        owns_sink = False
-        if events is not None:
-            if hasattr(events, "emit"):
-                handles_sink = events
-            else:
-                from repro.obs.export import JsonlSink
-                handles_sink = JsonlSink(events)
-                owns_sink = True
-            self.attach_event_sink(handles_sink)
-        if slow_query_log is not None:
-            if isinstance(slow_query_log, tuple):
-                self.configure_slow_query_log(*slow_query_log)
-            else:
-                self.configure_slow_query_log(slow_query_log)
-        owns_slo = owns_flight = False
-        if flight not in (None, False):
-            if hasattr(flight, "bundle"):
-                self.attach_flight_recorder(flight)
-            else:
-                from repro.obs.flight import FlightRecorder
-                capacity = 256 if flight is True else int(flight)
-                self.attach_flight_recorder(FlightRecorder(
-                    capacity, registry=registry, slo=self._slo))
-                owns_flight = True
-        if slo not in (None, False):
-            if hasattr(slo, "record"):
-                self.attach_slo_engine(slo)
-            else:
-                from repro.obs.slo import DEFAULT_OBJECTIVES, SLOEngine
-                objectives = DEFAULT_OBJECTIVES if slo is True else slo
-                self.attach_slo_engine(SLOEngine(
-                    objectives, registry=registry, sink=handles_sink))
-                owns_slo = True
-            engine = self._slo
-            if self._flight is not None:
-                if getattr(self._flight, "slo", None) is None:
-                    self._flight.slo = engine
-                if engine.on_page is None:
-                    recorder = self._flight
-                    engine.on_page = \
-                        lambda objective, info: recorder.trigger(
-                            "slo_page")
-        if timeseries is None and telemetry not in (None, False):
-            timeseries = True
-        try:
-            if telemetry not in (None, False):
-                kwargs = dict(telemetry) if isinstance(telemetry, dict) \
-                    else {"port": 0 if telemetry is True else telemetry}
-                kwargs.setdefault("registry", registry)
-                kwargs.setdefault("namespace", namespace)
-                self._serve_telemetry(**kwargs)
-            if hasattr(timeseries, "scrape"):
-                self._timeseries = timeseries
-                if not timeseries.running:
-                    timeseries.start()
-            elif timeseries not in (None, False):
-                options = dict(timeseries) \
-                    if isinstance(timeseries, dict) \
-                    else {"interval": 1.0 if timeseries is True
-                          else float(timeseries)}
-                self._start_timeseries(registry=registry, **options)
-            if self._timeseries is not None and self._flight is not None \
-                    and getattr(self._flight, "timeseries", None) is None:
-                self._flight.timeseries = self._timeseries
-            if cpu_profiler not in (None, False):
-                hz = None if cpu_profiler is True else cpu_profiler
-                self._start_cpu_profiler(hz=hz)
-            yield ServingHandles(telemetry=self._telemetry,
-                                 profiler=self._profiler,
-                                 slow_log=self._slow_log,
-                                 sink=handles_sink,
-                                 slo=self._slo,
-                                 flight=self._flight,
-                                 timeseries=self._timeseries)
-        finally:
-            self._close_serving()
-            if owns_slo:
-                self.attach_slo_engine(None)
-            if owns_flight:
-                self.attach_flight_recorder(None)
-            if owns_sink:
-                self.attach_event_sink(None)
-                handles_sink.close()
-
-    def _health(self) -> dict:
-        health = {
-            "keywords": len(self._index),
-            "index_generation": self._generation,
-            "caches": self.cache_stats(),
-        }
-        metrics = get_metrics()
-        if metrics.enabled:
-            health["inflight_queries"] = \
-                metrics.gauge("session_inflight_queries")
-        if self._slow_log is not None:
-            health["slow_queries"] = {
-                "threshold_seconds": self._slow_log.threshold,
-                "recorded": self._slow_log.recorded,
-                "retained": len(self._slow_log),
-            }
-        return health
 
     # -- routing ------------------------------------------------------------
 

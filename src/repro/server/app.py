@@ -3,25 +3,27 @@
 A :class:`SearchServer` shares **one** :class:`~repro.runtime.session.
 SearchSession` — and therefore one mmap'd index and one cache pair —
 across a bounded worker pool, behind a stdlib
-:class:`~http.server.ThreadingHTTPServer` (the same machinery as the
-telemetry endpoint in :mod:`repro.obs.server`):
+:class:`~http.server.ThreadingHTTPServer` — the process's one HTTP
+surface, also what ``cohesive-search search --telemetry-port`` runs:
 
 * ``POST /search``  — one query, :mod:`repro.server.wire` format;
 * ``POST /batch``   — a workload through the shared-scan executor;
 * ``GET /explain``  — the EXPLAIN profiler over the wire;
-* ``GET /healthz``  — liveness + admission/swap/cache statistics;
+* ``GET /healthz``  — liveness + admission/swap/cache/slow-query
+  statistics;
 * ``GET /metrics``  — OpenMetrics exposition of the serving registry;
+* ``GET /profilez`` — the session's slow-query profiles, newest first;
 * ``GET /tracez``   — recent trace digests;
+* ``GET /flamez``   — the collapsed stacks of the session's last
+  :meth:`~repro.runtime.session.SearchSession.profile_cpu` block;
 * ``GET /sloz``     — the SLO engine's burn-rate states;
 * ``GET /debugz``   — the flight recorder's diagnostic bundle;
 * ``GET /seriesz``  — the time-series store's multi-resolution
   history (``?name=`` / ``?window=`` / ``?resolution=`` filters).
 
 The introspection routes are registered on one
-:class:`~repro.obs.routes.RouteTable` — the same dispatch machinery
-the telemetry endpoint uses, so a route like ``/seriesz`` is defined
-once (:func:`~repro.obs.routes.series_route`) and mounted on both
-surfaces.
+:class:`~repro.obs.routes.RouteTable`;
+:data:`repro.server.wire.SERVER_ROUTES` is their catalogue.
 
 Every **work** request (``/search``, ``/batch``, ``/explain``) emits
 exactly one wide event (:mod:`repro.obs.wideevent`) carrying its
@@ -73,9 +75,9 @@ from urllib.parse import parse_qsl
 from repro.errors import ReproError
 from repro.obs.export import to_openmetrics
 from repro.obs.logconfig import get_logger
-from repro.obs.routes import (RouteTable, json_route, reply,
-                              series_route, text_route)
-from repro.obs.server import OPENMETRICS_CONTENT_TYPE
+from repro.obs.routes import (OPENMETRICS_CONTENT_TYPE, RouteTable,
+                              json_route, reply, series_route,
+                              text_route)
 from repro.obs.wideevent import wide_event
 from repro.runtime.session import SearchSession
 from repro.server import wire
@@ -283,8 +285,11 @@ class SearchServer:
             lambda: to_openmetrics(self._registry.snapshot(),
                                    self._namespace),
             OPENMETRICS_CONTENT_TYPE))
+        self._introspection.add("/profilez", json_route(
+            self._profiles, sort_keys=False))
         self._introspection.add("/tracez", json_route(
             recent_traces, sort_keys=False))
+        self._introspection.add("/flamez", text_route(self._flame))
         if self._slo is not None:
             self._introspection.add("/sloz",
                                     json_route(self._slo.as_json))
@@ -536,11 +541,11 @@ class SearchServer:
 
     def _route_introspection(self, request: BaseHTTPRequestHandler,
                              path: str) -> None:
-        """The read-only telemetry routes — deliberately outside the
-        wide-event / admission path, so scraping never perturbs what
-        it measures (and ``/debugz`` stays pure).  The shared
+        """The read-only introspection routes — deliberately outside
+        the wide-event / admission path, so scraping never perturbs
+        what it measures (and ``/debugz`` stays pure).  The
         :class:`~repro.obs.routes.RouteTable` dispatches; unknown
-        paths keep the wire-format 404 body."""
+        paths get the wire-format 404 body."""
         if not self._introspection.dispatch(request):
             self._fail(request, 404, f"unknown route GET {path}")
 
@@ -576,8 +581,16 @@ class SearchServer:
         return wire.batch_response(queries, options, answers,
                                    time.perf_counter() - start)
 
+    def _profiles(self) -> list:
+        slow_log = self.session.slow_query_log
+        return slow_log.as_json() if slow_log is not None else []
+
+    def _flame(self) -> str:
+        profiler = self.session._profiler
+        return profiler.to_collapsed() if profiler is not None else ""
+
     def _health(self) -> dict:
-        return {
+        health = {
             "status": "ok",
             "uptime_seconds": round(self.uptime_seconds, 3),
             "inflight": self._admission.inflight,
@@ -591,6 +604,14 @@ class SearchServer:
             "keywords": len(self.session.index),
             "caches": self.session.cache_stats(),
         }
+        slow_log = self.session.slow_query_log
+        if slow_log is not None:
+            health["slow_queries"] = {
+                "threshold_seconds": slow_log.threshold,
+                "recorded": slow_log.recorded,
+                "retained": len(slow_log),
+            }
+        return health
 
     def _json(self, request, status: int, body: dict) -> None:
         reply(request, status, "application/json",
@@ -663,9 +684,9 @@ def serve(index_path, port: int = 8080, host: str = "127.0.0.1",
     the store (lazily for CKSIDX2), prints the bound URL to stdout
     (``--port 0`` picks a free port), hot-swaps the index on SIGHUP
     and shuts down cleanly — in-flight requests drained — on
-    SIGTERM/SIGINT.  ``slow_query_ms`` enables the slow-query log
-    (``/profilez`` is on the telemetry endpoint, but the profiles
-    also reach the flight recorder's bundle via counters);
+    SIGTERM/SIGINT.  ``slow_query_ms`` enables the slow-query log,
+    whose profiles ``/profilez`` serves and whose totals ``/healthz``
+    reports;
     ``events_jsonl`` opens a size-capped :class:`~repro.obs.export.
     JsonlSink` (closed on shutdown) receiving every wide event;
     ``series_interval`` paces the ``/seriesz`` scrape loop, the

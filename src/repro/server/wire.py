@@ -48,7 +48,9 @@ SERVER_ROUTES = (
     "GET /explain",
     "GET /healthz",
     "GET /metrics",
+    "GET /profilez",
     "GET /tracez",
+    "GET /flamez",
     "GET /sloz",
     "GET /debugz",
     "GET /seriesz",

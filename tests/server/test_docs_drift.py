@@ -4,16 +4,15 @@ Routes (rows prefixed ``| route:``) against
 :data:`repro.server.wire.SERVER_ROUTES`, and wire fields (rows
 prefixed ``| field:``) against the request/response field tuples —
 both directions, so the published wire contract can be trusted.
-The shared introspection catalogue (:data:`repro.obs.routes.
-SHARED_INTROSPECTION_ROUTES`) must be a subset of the server's route
-catalogue, so a route registered on both surfaces is always published.
+Every introspection route the server registers must be in that
+catalogue, so the one route table covers the whole HTTP surface.
 """
 
 import re
 from pathlib import Path
 
-from repro.obs.routes import SHARED_INTROSPECTION_ROUTES
-from repro.server import wire
+from repro.runtime.session import SearchSession
+from repro.server import SearchServer, wire
 
 REPO = Path(__file__).resolve().parents[2]
 DOC = REPO / "docs" / "SERVER.md"
@@ -62,12 +61,15 @@ def test_every_documented_route_exists_in_code():
         f"SERVER_ROUTES: {sorted(stale)}"
 
 
-def test_shared_introspection_routes_are_published_server_routes():
-    missing = set(SHARED_INTROSPECTION_ROUTES) - set(wire.SERVER_ROUTES)
+def test_shared_introspection_routes_are_published_server_routes(
+        figure1_index):
+    with SearchServer(SearchSession(figure1_index)) as server:
+        registered = {f"GET {path}"
+                      for path in server._introspection.paths}
+    missing = registered - set(wire.SERVER_ROUTES)
     assert not missing, \
-        f"routes in SHARED_INTROSPECTION_ROUTES but absent from " \
-        f"SERVER_ROUTES (so undocumented on the server): " \
-        f"{sorted(missing)}"
+        f"routes the server registers but absent from SERVER_ROUTES " \
+        f"(so undocumented): {sorted(missing)}"
 
 
 def test_every_wire_field_is_documented():

@@ -77,6 +77,23 @@ class TestRoutes:
         assert body["index_swaps"] == 0
         assert body["keywords"] > 0
         assert "plan_cache" in body["caches"]
+        assert "slow_queries" not in body  # no slow-query log
+
+    def test_profilez_serves_a_slow_http_search(self, store_path):
+        session = SearchSession.from_store(store_path)
+        session.configure_slow_query_log(0.0)
+        with SearchServer(session, index_path=store_path) as server:
+            status, _, _ = http_post(server.url + "/search",
+                                     {"query": Q1})
+            assert status == 200
+            status, profiles = http_get(server.url + "/profilez")
+            assert status == 200
+            (profile,) = profiles
+            assert profile["schema"] == 1
+            assert profile["query"] == Q1
+            status, health = http_get(server.url + "/healthz")
+            assert health["slow_queries"] == {
+                "threshold_seconds": 0.0, "recorded": 1, "retained": 1}
 
     def test_metrics_and_tracez_see_requests(self, server):
         http_post(server.url + "/search", {"query": Q1})

@@ -1,4 +1,6 @@
-"""``/seriesz`` on both HTTP surfaces: parity, filters, lifecycle."""
+"""``/seriesz`` on the search server — as ``serve`` runs it over a
+store and as ``search --telemetry-port`` runs it over an in-memory
+session: parity, filters, lifecycle."""
 
 from __future__ import annotations
 
@@ -9,12 +11,11 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry, TelemetryServer
-from repro.obs.routes import SHARED_INTROSPECTION_ROUTES
+from repro.obs.console import run_top
 from repro.obs.timeseries import (SERIES_FIELDS, TimeSeriesStore,
                                   current_rss_bytes)
 from repro.runtime.session import SearchSession
-from repro.server import SearchServer
+from repro.server import SearchServer, wire
 
 from tests.server.conftest import http_get, http_post
 
@@ -34,11 +35,11 @@ def _raw_get(url: str) -> bytes:
         return response.read()
 
 
-def _frozen_store() -> TimeSeriesStore:
-    """A deterministic store that is never started (no scrape loop)."""
-    store = TimeSeriesStore(1.0, clock=FakeClock(now=777.0),
-                            registry=MetricsRegistry(),
-                            detector=False)
+def _freeze(store: TimeSeriesStore) -> TimeSeriesStore:
+    """Stop ``store``'s scrape loop, pin its clock and add a fixed
+    history, so every read of it is deterministic."""
+    store.stop()
+    store._clock = FakeClock(now=777.0)
     for step in range(15):
         store.record("gauge:x", float(step), now=700.0 + step)
         store.record("counter:hits", 2.0, kind="rate",
@@ -46,51 +47,50 @@ def _frozen_store() -> TimeSeriesStore:
     return store
 
 
+@pytest.fixture()
+def telemetry(figure1_index):
+    """The server ``search --telemetry-port`` runs: an in-memory
+    session, no index path."""
+    with SearchServer(SearchSession(figure1_index)) as server:
+        yield server
+
+
 class TestTelemetryEndpoint:
-    def test_seriesz_is_byte_for_byte_the_python_api(self):
-        store = _frozen_store()
-        registry = MetricsRegistry()
-        with TelemetryServer(registry.snapshot,
-                             series_provider=lambda: store) as server:
-            raw = _raw_get(server.url + "/seriesz")
-            expected = json.dumps(store.as_json(), sort_keys=True,
-                                  default=str).encode("utf-8")
-            assert raw == expected
-            # the fetch mutated nothing: a second read is identical
-            assert _raw_get(server.url + "/seriesz") == raw
+    def test_seriesz_is_byte_for_byte_the_python_api(self, telemetry):
+        store = _freeze(telemetry.timeseries)
+        raw = _raw_get(telemetry.url + "/seriesz")
+        expected = json.dumps(store.as_json(), sort_keys=True,
+                              default=str).encode("utf-8")
+        assert raw == expected
+        # the fetch mutated nothing: a second read is identical
+        assert _raw_get(telemetry.url + "/seriesz") == raw
 
-    def test_filters_match_the_python_api(self):
-        store = _frozen_store()
-        registry = MetricsRegistry()
-        with TelemetryServer(registry.snapshot,
-                             series_provider=lambda: store) as server:
-            raw = _raw_get(server.url +
-                           "/seriesz?name=gauge:x&window=5"
-                           "&resolution=raw")
-            expected = json.dumps(
-                store.as_json(name="gauge:x", window=5.0,
-                              resolution="raw"),
-                sort_keys=True, default=str).encode("utf-8")
-            assert raw == expected
+    def test_filters_match_the_python_api(self, telemetry):
+        store = _freeze(telemetry.timeseries)
+        raw = _raw_get(telemetry.url +
+                       "/seriesz?name=gauge:x&window=72&resolution=raw")
+        expected = json.dumps(
+            store.as_json(name="gauge:x", window=72.0, resolution="raw"),
+            sort_keys=True, default=str).encode("utf-8")
+        assert raw == expected
+        # the window keeps the newest points of the fixed history
+        points = json.loads(raw)["series"]["gauge:x"]["points"]["raw"]
+        assert 0 < len(points) < 15
 
-    def test_bad_parameters_are_400(self):
-        store = _frozen_store()
-        registry = MetricsRegistry()
-        with TelemetryServer(registry.snapshot,
-                             series_provider=lambda: store) as server:
-            status, body = http_get(server.url + "/seriesz?window=nope")
-            assert status == 400
-            assert "window" in body
-            status, body = http_get(server.url + "/seriesz?window=-1")
-            assert status == 400
-            status, body = http_get(server.url +
-                                    "/seriesz?resolution=hourly")
-            assert status == 400
-            assert "resolution" in body
+    def test_bad_parameters_are_400(self, telemetry):
+        status, body = http_get(telemetry.url + "/seriesz?window=nope")
+        assert status == 400
+        assert "window" in body
+        status, body = http_get(telemetry.url + "/seriesz?window=-1")
+        assert status == 400
+        status, body = http_get(telemetry.url +
+                                "/seriesz?resolution=hourly")
+        assert status == 400
+        assert "resolution" in body
 
-    def test_without_a_provider_the_route_is_404(self):
-        registry = MetricsRegistry()
-        with TelemetryServer(registry.snapshot) as server:
+    def test_without_a_provider_the_route_is_404(self, figure1_index):
+        session = SearchSession(figure1_index)
+        with SearchServer(session, series_interval=None) as server:
             status, body = http_get(server.url + "/seriesz")
             assert status == 404
 
@@ -171,66 +171,45 @@ class TestSearchServer:
 
 
 class TestSharedRouteTable:
-    def test_both_surfaces_register_every_shared_route(self, store_path):
-        registry = MetricsRegistry()
-        store = _frozen_store()
-        from repro.obs.slo import SLOEngine
-        from repro.obs.flight import FlightRecorder
-        engine = SLOEngine(registry=registry)
-        recorder = FlightRecorder(registry=registry,
-                                  traces_provider=list)
-        shared = {route.split(" ", 1)[1]
-                  for route in SHARED_INTROSPECTION_ROUTES}
-        with TelemetryServer(registry.snapshot, slo_provider=lambda:
-                             engine.as_json(),
-                             debug_provider=recorder.bundle,
-                             series_provider=lambda: store) as server:
-            assert shared <= set(server._routes.paths)
-        session = SearchSession.from_store(store_path)
-        with SearchServer(session, index_path=store_path) as live:
-            assert shared <= set(live._introspection.paths)
+    def test_both_surfaces_register_every_shared_route(
+            self, store_path, figure1_index):
+        # serve's server over a store and the telemetry port's server
+        # over an in-memory session answer every catalogued GET route
+        routes = {route.split(" ", 1)[1] for route in wire.SERVER_ROUTES
+                  if route.startswith("GET ") and route != "GET /explain"}
+        assert {"/metrics", "/healthz", "/profilez", "/tracez",
+                "/flamez", "/sloz", "/debugz", "/seriesz"} <= routes
+        surfaces = (
+            lambda: SearchServer(SearchSession.from_store(store_path),
+                                 index_path=store_path),
+            lambda: SearchServer(SearchSession(figure1_index)))
+        for surface in surfaces:
+            with surface() as server:
+                assert set(server._introspection.paths) == routes
+                for route in sorted(routes):
+                    status, _ = http_get(server.url + route)
+                    assert status == 200, route
 
 
 class TestServingContext:
-    def test_serving_timeseries_wires_store_watchdog_and_route(
-            self, store_path):
-        session = SearchSession.from_store(store_path)
-        budgets = {"max_threads": 10_000}
-        with session.serving(telemetry=True, flight=True,
-                             timeseries={"interval": 0.05,
-                                         "budgets": budgets}) as run:
-            assert run.timeseries is session.timeseries_store
-            assert run.timeseries.running
-            # the store is the resource watchdog: it checks the budgets
-            assert run.timeseries.budgets == budgets
-            # the flight bundle reads its gauge history from the store
-            assert run.flight.timeseries is run.timeseries
-            assert run.timeseries._flight is run.flight
-            session.search(Q1)
-            status, document = http_get(run.telemetry.url + "/seriesz")
-            assert status == 200
-            assert document["schema"] == 1
-        assert session.timeseries_store is None
+    """A served session's store read in-process, and a store on its
+    own."""
 
     def test_session_console_renders_over_the_local_store(
             self, store_path):
         import io
         session = SearchSession.from_store(store_path)
-        with session.serving(timeseries=0.05):
+        with SearchServer(session, index_path=store_path) as server:
             session.search(Q1)
-            session._timeseries.scrape()
+            server.timeseries.scrape()
             out = io.StringIO()
-            assert session.console(once=True, out=out) == 1
+            assert run_top(server.timeseries, once=True, out=out) == 1
             assert out.getvalue().startswith("cohesive-search top")
-        with pytest.raises(RuntimeError):
-            session.console(once=True)
 
-    def test_standalone_timeseries_probes_resources_itself(
-            self, store_path):
-        session = SearchSession.from_store(store_path)
-        with session.serving(timeseries=0.05) as run:
-            run.timeseries.scrape()
-            assert "resource:threads" in run.timeseries.names()
+    def test_standalone_timeseries_probes_resources_itself(self):
+        store = TimeSeriesStore(0.05)
+        store.scrape()
+        assert "resource:threads" in store.names()
 
 
 def _wait_for_scrapes(store, count: int, seconds: float = 5.0) -> None:
@@ -255,19 +234,10 @@ class TestOneSampler:
         assert store.scrapes >= 1
         assert len(store.series("resource:rss_bytes")) == store.scrapes
 
-    def test_ready_made_store_under_telemetry(self, store_path):
-        session = SearchSession.from_store(store_path)
-        store = TimeSeriesStore(0.05, detector=False)
-        with session.serving(telemetry=True, timeseries=store) as run:
-            assert run.timeseries is store
-            session.search(Q1)
-            _wait_for_scrapes(store, 3)
-        self._assert_one_point_per_scrape(store)
-
-    def test_store_from_an_interval(self, store_path):
-        session = SearchSession.from_store(store_path)
-        with session.serving(timeseries=0.05) as run:
-            store = run.timeseries
+    def test_store_from_an_interval(self, figure1_index):
+        session = SearchSession(figure1_index)
+        with SearchServer(session, series_interval=0.05) as server:
+            store = server.timeseries
             session.search(Q1)
             _wait_for_scrapes(store, 3)
         self._assert_one_point_per_scrape(store)

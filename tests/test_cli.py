@@ -314,35 +314,70 @@ class TestObservability:
         assert event["event"] == "query"
         assert event["result_count"] > 0
 
-    def test_telemetry_port_serves_during_run(self, document, capsys):
+    def test_telemetry_port_serves_during_run(self, document, capsys,
+                                              monkeypatch):
+        import re
+        import threading
+        import time
         import urllib.request
         from repro.obs import parse_openmetrics
-        from repro.runtime import session as session_module
+        from repro.index.inverted import InvertedIndex
+        from repro.runtime import SearchOptions, SearchSession
+        from repro.server import wire
+        from repro.xmlio.loader import load_tree_from_path
 
-        captured = {}
-        original = session_module.SearchSession._serve_telemetry
-
-        def spying(self, **kwargs):
-            server = original(self, **kwargs)
-            with urllib.request.urlopen(server.url + "/healthz",
-                                        timeout=5) as response:
-                captured["health"] = json.loads(response.read())
-            with urllib.request.urlopen(server.url + "/metrics",
-                                        timeout=5) as response:
-                captured["metrics"] = response.read().decode()
-            return server
-
-        session_module.SearchSession._serve_telemetry = spying
+        # the linger holds the endpoint up until the checks are done
+        linger, released, sleep = 60.0, threading.Event(), time.sleep
+        monkeypatch.setattr(time, "sleep", lambda seconds: released.wait(
+            seconds) if seconds == linger else sleep(seconds))
+        query = "((Lei Chen) (Yi Guo))"
+        statuses = []
+        run = threading.Thread(target=lambda: statuses.append(main([
+            "search", str(document), query, "--telemetry-port", "0",
+            "--telemetry-linger", str(linger)])))
+        run.start()
+        out, url = "", None
         try:
-            assert main(["search", str(document), "((Lei Chen) (Yi Guo))",
-                         "--telemetry-port", "0"]) == 0
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                out += capsys.readouterr().out
+                match = re.search(r"^-- telemetry on (http://\S+)", out,
+                                  re.MULTILINE)
+                if match:
+                    url = match.group(1)
+                    break
+                sleep(0.02)
+            assert url is not None, out
+            with urllib.request.urlopen(url + "/healthz",
+                                        timeout=5) as response:
+                health = json.loads(response.read())
+            with urllib.request.urlopen(url + "/metrics",
+                                        timeout=5) as response:
+                metrics = response.read().decode()
+            request = urllib.request.Request(
+                url + "/search",
+                data=json.dumps({"query": query}).encode(),
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=5) as response:
+                served = json.loads(response.read())
         finally:
-            session_module.SearchSession._serve_telemetry = original
-        assert "telemetry on http://" in capsys.readouterr().out
-        assert captured["health"]["status"] == "ok"
-        parse_openmetrics(captured["metrics"])  # valid exposition
-        # the CLI's scoped registry backs the scrape, and the session
-        # tears the endpoint down with the run
+            released.set()
+            run.join(timeout=30)
+        assert not run.is_alive()
+        assert statuses == [0]
+        assert health["status"] == "ok"
+        parse_openmetrics(metrics)  # valid exposition
+        # POST /search on the telemetry port answers like the library
+        session = SearchSession(InvertedIndex.from_tree(
+            load_tree_from_path(document)))
+        expected = wire.search_response(query, SearchOptions(),
+                                        session.search(query), 0.0)
+        assert expected["result_count"] > 0
+        served.pop("duration_seconds")
+        expected.pop("duration_seconds")
+        assert served == expected
+        # the CLI's scoped registry backs the scrape, and the run tears
+        # the server down with it
         from repro.obs import NULL_METRICS, get_metrics
         assert get_metrics() is NULL_METRICS
 
