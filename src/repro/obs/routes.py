@@ -35,15 +35,31 @@ Handler = Callable[[dict], tuple]
 def reply(request: BaseHTTPRequestHandler, status: int,
           content_type: str, body: str,
           headers: Optional[dict] = None) -> None:
-    """Send one complete HTTP response."""
+    """Send one complete HTTP response in a single socket write.
+
+    ``send_response`` and ``send_header`` only buffer (and log the
+    request); the stdlib's ``end_headers`` would flush that buffer as
+    a write of its own, and on the unbuffered handler socket a second
+    small write for the body then waits out the client's delayed ACK
+    under Nagle's algorithm (~40 ms per keep-alive request).  So the
+    header block, the blank line and the body are joined here and
+    written once.  A ``HEAD`` reply keeps its ``Content-Length`` but
+    carries no body; an HTTP/0.9 reply is the bare body, as the stdlib
+    sends it.
+    """
     payload = body.encode("utf-8")
     request.send_response(status)
     request.send_header("Content-Type", content_type)
     request.send_header("Content-Length", str(len(payload)))
     for name, value in (headers or {}).items():
         request.send_header(name, value)
-    request.end_headers()
-    request.wfile.write(payload)
+    chunks = getattr(request, "_headers_buffer", [])
+    request._headers_buffer = []
+    if request.request_version != "HTTP/0.9":
+        chunks.append(b"\r\n")
+    if request.command != "HEAD":
+        chunks.append(payload)
+    request.wfile.write(b"".join(chunks))
 
 
 class RouteError(Exception):

@@ -75,9 +75,11 @@ from urllib.parse import parse_qsl
 from repro.errors import ReproError
 from repro.obs.export import to_openmetrics
 from repro.obs.logconfig import get_logger
+from repro.obs.metrics import set_global_metrics
 from repro.obs.routes import (OPENMETRICS_CONTENT_TYPE, RouteTable,
                               json_route, reply, series_route,
                               text_route)
+from repro.obs.tracing import set_global_tracer
 from repro.obs.wideevent import wide_event
 from repro.runtime.session import SearchSession
 from repro.server import wire
@@ -159,8 +161,9 @@ class SearchServer:
     registry / tracer:
         Installed process-global for the server's lifetime (fresh ones
         by default) so worker threads' searches land in ``/metrics``
-        and ``/tracez``; the previous globals are restored on
-        :meth:`close`.
+        and ``/tracez``.  While several servers are open the newest
+        one's are installed; once the last one closes, in whatever
+        order, the globals from before the first one are restored.
     sink:
         Optional :class:`~repro.obs.export.JsonlSink` receiving every
         wide event (request- and session-level) plus resource-budget
@@ -201,8 +204,8 @@ class SearchServer:
                  namespace: str = "repro",
                  sink=None, slo=True, flight=True,
                  series_interval: Optional[float] = 1.0):
-        from repro.obs.metrics import MetricsRegistry, set_global_metrics
-        from repro.obs.tracing import Tracer, set_global_tracer
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracing import Tracer
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_limit < 0:
@@ -213,10 +216,8 @@ class SearchServer:
         self._namespace = namespace
         self._registry = registry if registry is not None \
             else MetricsRegistry()
-        self._previous_registry = set_global_metrics(self._registry)
         self._owns_tracer = tracer is None
         self._tracer = tracer if tracer is not None else Tracer()
-        self._previous_tracer = set_global_tracer(self._tracer)
         self._registry.declare(*SERVER_COUNTERS)
         self._registry.gauge_set("server_inflight_requests", 0)
         self._admission = _Admission(workers + queue_limit,
@@ -310,11 +311,21 @@ class SearchServer:
             def do_POST(self) -> None:  # noqa: N802 (stdlib API)
                 server._route_post(self)
 
+            def send_error(self, code, message=None, explain=None):
+                # The stdlib's own error replies (malformed request
+                # line, 414, 431, 501 for an unsupported method) carry
+                # the wire-format error body and go out in one write.
+                self.log_error("code %d, message %s", code, message)
+                if message is None:
+                    message = self.responses.get(code, ("",))[0]
+                server._fail(self, code, message, close=True)
+
             def log_message(self, fmt, *args):  # route to repro.* logs
                 _log.debug("server %s", fmt % args)
 
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
+        _install_globals(self)
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, name="repro-server",
             daemon=True)
@@ -386,13 +397,13 @@ class SearchServer:
         Order matters: the listener closes first (no new admissions),
         the pool drains in-flight work, and only then are retired
         index stores closed — their mmaps may be read up to the last
-        drained request — and the global registry/tracer restored.
+        drained request — and the global registry/tracer handed back.
+        The session's current index belongs to the caller and stays
+        open.
         """
         if self._closed:
             return
         self._closed = True
-        from repro.obs.metrics import set_global_metrics
-        from repro.obs.tracing import set_global_tracer
         self._httpd.shutdown()
         self._httpd.server_close()
         self._thread.join(timeout=5.0)
@@ -408,8 +419,7 @@ class SearchServer:
             if close is not None:
                 close()
         self._retired.clear()
-        set_global_metrics(self._previous_registry)
-        set_global_tracer(self._previous_tracer)
+        _release_globals(self)
         if self._owns_tracer:
             self._tracer.close()
         _log.info("search server closed")
@@ -462,18 +472,27 @@ class SearchServer:
     # -- routing -------------------------------------------------------------
 
     def _route_post(self, request: BaseHTTPRequestHandler) -> None:
+        start = time.perf_counter()
         path = request.path.split("?", 1)[0]
+        try:
+            length = int(request.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:  # the body cannot be framed
+            request.send_error(
+                400, "Content-Length must be a non-negative integer")
+            return
+        # Read even an unrouted body: left unread, it would be parsed
+        # as the keep-alive connection's next request line.
+        raw = request.rfile.read(length)
         if path not in ("/search", "/batch"):
             self._fail(request, 404, f"unknown route POST {path}")
             return
-        start = time.perf_counter()
         status = 200
         queries = 1
         body = None
         failure = None  # (message, retry_after) when not replying 200
         try:
-            length = int(request.headers.get("Content-Length") or 0)
-            raw = request.rfile.read(length)
             if path == "/search":
                 query, options, timeout = wire.parse_search_request(raw)
                 body = self._run(
@@ -618,14 +637,50 @@ class SearchServer:
               json.dumps(body, sort_keys=True))
 
     def _fail(self, request, status: int, message: str,
-              retry_after: Optional[float] = None) -> None:
+              retry_after: Optional[float] = None,
+              close: bool = False) -> None:
         body = wire.error_response(status, message,
                                    retry_after=retry_after)
         headers = {}
         if retry_after is not None:
             headers["Retry-After"] = str(max(1, int(retry_after)))
+        if close:  # sets close_connection, as the stdlib's send_error
+            headers["Connection"] = "close"
         reply(request, status, "application/json",
               json.dumps(body, sort_keys=True), headers)
+
+
+#: The open servers, oldest first, and the process-global registry and
+#: tracer from before the first of them opened.  Module state, as the
+#: globals whose ownership it orders are.
+_open_servers: list = []
+_globals_before: tuple = (None, None)
+_globals_lock = threading.Lock()
+
+
+def _install_globals(server: SearchServer) -> None:
+    """Install ``server``'s registry and tracer process-global."""
+    global _globals_before
+    with _globals_lock:
+        before = (set_global_metrics(server._registry),
+                  set_global_tracer(server._tracer))
+        if not _open_servers:
+            _globals_before = before
+        _open_servers.append(server)
+
+
+def _release_globals(server: SearchServer) -> None:
+    """Hand the process globals to the newest server still open, or
+    back to what they were before the first one opened."""
+    with _globals_lock:
+        _open_servers.remove(server)
+        if _open_servers:
+            newest = _open_servers[-1]
+            registry, tracer = newest._registry, newest._tracer
+        else:
+            registry, tracer = _globals_before
+        set_global_metrics(registry)
+        set_global_tracer(tracer)
 
 
 class _Reject(Exception):
@@ -683,10 +738,10 @@ def serve(index_path, port: int = 8080, host: str = "127.0.0.1",
     The blocking entry point behind ``cohesive-search serve``: opens
     the store (lazily for CKSIDX2), prints the bound URL to stdout
     (``--port 0`` picks a free port), hot-swaps the index on SIGHUP
-    and shuts down cleanly — in-flight requests drained — on
-    SIGTERM/SIGINT.  ``slow_query_ms`` enables the slow-query log,
-    whose profiles ``/profilez`` serves and whose totals ``/healthz``
-    reports;
+    and shuts down cleanly — in-flight requests drained, the store
+    closed — on SIGTERM/SIGINT.  ``slow_query_ms`` enables the
+    slow-query log, whose profiles ``/profilez`` serves and whose
+    totals ``/healthz`` reports;
     ``events_jsonl`` opens a size-capped :class:`~repro.obs.export.
     JsonlSink` (closed on shutdown) receiving every wide event;
     ``series_interval`` paces the ``/seriesz`` scrape loop, the
@@ -727,5 +782,10 @@ def serve(index_path, port: int = 8080, host: str = "127.0.0.1",
             stop.wait()
             _log.info("shutdown signal received")
     finally:
+        # serve() opened the store, so it closes the one the session
+        # holds now (the server already closed every retired one).
+        close = getattr(session.index, "close", None)
+        if close is not None:
+            close()
         if sink is not None:
             sink.close()

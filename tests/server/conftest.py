@@ -10,6 +10,7 @@ import pytest
 
 from repro.index.inverted import InvertedIndex
 from repro.index.store_v2 import save_index_v2
+from repro.runtime.session import SearchSession
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +21,25 @@ def store_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("server") / "figure1.ckx"
     save_index_v2(index, path)
     return path
+
+
+@pytest.fixture()
+def open_session(store_path):
+    """``open_session()`` -> a fresh session over the store.
+
+    A :class:`~repro.server.SearchServer` leaves a caller's session
+    open, so the store each session holds at teardown (the last one
+    hot-swapped in) is closed here.
+    """
+    sessions = []
+
+    def open_one() -> SearchSession:
+        sessions.append(SearchSession.from_store(store_path))
+        return sessions[-1]
+
+    yield open_one
+    for session in sessions:
+        session.index.close()
 
 
 def http_get(url: str, timeout: float = 10.0):

@@ -1,13 +1,20 @@
-"""The live HTTP surface: routes, errors, overload, hot swap."""
+"""The live HTTP surface: routes, errors, overload, hot swap, and one
+socket write per reply."""
 
 from __future__ import annotations
 
+import gc
+import http.client
+import json
+import socket
+import sys
 import threading
+import warnings
 
 import pytest
 
-from repro.obs.metrics import set_global_metrics
-from repro.obs.tracing import set_global_tracer
+from repro.obs.metrics import MetricsRegistry, set_global_metrics
+from repro.obs.tracing import Tracer, set_global_tracer
 from repro.runtime.options import SearchOptions
 from repro.runtime.session import SearchSession
 from repro.server import DELAY_ENV, SearchServer, wire
@@ -18,8 +25,8 @@ Q1 = "(XML keyword search (Paul Cooper) (Mary Davis))"
 
 
 @pytest.fixture()
-def server(store_path):
-    session = SearchSession.from_store(store_path)
+def server(store_path, open_session):
+    session = open_session()
     with SearchServer(session, index_path=store_path) as live:
         yield live
 
@@ -79,8 +86,9 @@ class TestRoutes:
         assert "plan_cache" in body["caches"]
         assert "slow_queries" not in body  # no slow-query log
 
-    def test_profilez_serves_a_slow_http_search(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_profilez_serves_a_slow_http_search(self, store_path,
+                                                open_session):
+        session = open_session()
         session.configure_slow_query_log(0.0)
         with SearchServer(session, index_path=store_path) as server:
             status, _, _ = http_post(server.url + "/search",
@@ -141,10 +149,10 @@ class TestErrors:
 
 
 class TestOverload:
-    def test_queue_overflow_sheds_with_429(self, store_path,
+    def test_queue_overflow_sheds_with_429(self, open_session,
                                            monkeypatch):
         monkeypatch.setenv(DELAY_ENV, "300")
-        session = SearchSession.from_store(store_path)
+        session = open_session()
         with SearchServer(session, workers=1, queue_limit=0) as server:
             statuses, headers = [], []
             lock = threading.Lock()
@@ -177,9 +185,9 @@ class TestOverload:
             status, health = http_get(server.url + "/healthz")
             assert health["inflight"] == 0
 
-    def test_timeout_is_504(self, store_path, monkeypatch):
+    def test_timeout_is_504(self, open_session, monkeypatch):
         monkeypatch.setenv(DELAY_ENV, "500")
-        session = SearchSession.from_store(store_path)
+        session = open_session()
         with SearchServer(session) as server:
             status, body, _ = http_post(
                 server.url + "/search",
@@ -193,8 +201,8 @@ class TestOverload:
 
 
 class TestHotSwap:
-    def test_reload_under_load_drops_nothing(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_reload_under_load_drops_nothing(self, store_path, open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path,
                           workers=4, queue_limit=32) as server:
             baseline = server.session.search(Q1)
@@ -230,8 +238,8 @@ class TestHotSwap:
                                         {"query": Q1})
             assert status == 200 and body["results"] == expected
 
-    def test_reload_without_path_is_an_error(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_reload_without_path_is_an_error(self, open_session):
+        session = open_session()
         with SearchServer(session) as server:
             with pytest.raises(Exception, match="index_path"):
                 server.reload()
@@ -262,14 +270,32 @@ class TestServeEntryPoint:
         assert seen["status"] == 200 and seen["results"] > 0
         assert "serving on " + seen["url"] in capsys.readouterr().out
 
+    def test_serve_closes_its_store(self, store_path, monkeypatch):
+        from repro.server import serve
+        leaks = []
+        monkeypatch.setattr(sys, "unraisablehook", leaks.append)
+        stop = threading.Event()
+        with warnings.catch_warnings():
+            # a finalizer's ResourceWarning lands in unraisablehook
+            warnings.simplefilter("error", ResourceWarning)
+            runner = threading.Thread(
+                target=serve, args=(str(store_path),),
+                kwargs={"port": 0, "ready": lambda _: stop.set(),
+                        "stop": stop})
+            runner.start()
+            runner.join(timeout=30)
+            gc.collect()
+        assert not runner.is_alive()
+        assert [str(leak.exc_value) for leak in leaks] == []
+
 
 class TestLifecycle:
     def test_close_restores_global_registry_and_tracer(self,
-                                                       store_path):
+                                                       open_session):
         sentinel_registry = set_global_metrics(None)
         sentinel_tracer = set_global_tracer(None)
         try:
-            session = SearchSession.from_store(store_path)
+            session = open_session()
             server = SearchServer(session)
             server.close()
             server.close()  # idempotent
@@ -278,6 +304,53 @@ class TestLifecycle:
         finally:
             set_global_metrics(sentinel_registry)
             set_global_tracer(sentinel_tracer)
+
+    @pytest.mark.parametrize("close_order", ["created", "reversed"])
+    def test_globals_belong_to_the_newest_open_server(self, open_session,
+                                                      close_order):
+        before = (MetricsRegistry(), Tracer())
+        saved = _install_globals(*before)
+        try:
+            servers = []
+            for _ in range(2):
+                owned = (MetricsRegistry(), Tracer())
+                servers.append((SearchServer(
+                    open_session(), registry=owned[0], tracer=owned[1],
+                    series_interval=None), owned))
+            assert _installed_globals() == servers[1][1]
+            if close_order == "reversed":
+                servers.reverse()
+            (first, _), (second, remaining) = servers
+            first.close()
+            assert _installed_globals() == remaining
+            second.close()
+            assert _installed_globals() == before
+        finally:
+            _install_globals(*saved)
+
+    def test_concurrent_servers_leave_the_globals_as_found(
+            self, figure1_index):
+        before = (MetricsRegistry(), Tracer())
+        saved = _install_globals(*before)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def churn():
+            for _ in range(3):
+                SearchServer(SearchSession(figure1_index), slo=False,
+                             flight=False, series_interval=None).close()
+
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert _installed_globals() == before
+        finally:
+            sys.setswitchinterval(interval)
+            _install_globals(*saved)
 
     def test_explain_options_reach_the_profiler(self, server):
         status, body = http_get(
@@ -290,3 +363,185 @@ class TestLifecycle:
                                     {"query": Q1})
         assert SearchOptions.from_dict(body["options"]) \
             == SearchOptions()
+
+
+def _install_globals(registry, tracer) -> tuple:
+    """Install a process-global registry and tracer; returns the
+    previous pair."""
+    return set_global_metrics(registry), set_global_tracer(tracer)
+
+
+def _installed_globals() -> tuple:
+    """The installed process-global (registry, tracer)."""
+    installed = _install_globals(None, None)
+    _install_globals(*installed)
+    return installed
+
+
+# -- one socket write per reply ----------------------------------------------
+
+class _CountingWriter:
+    """A handler's socket writer that records every write it makes."""
+
+    def __init__(self, inner, writes: list):
+        self._inner = inner
+        self._writes = writes
+
+    def write(self, data) -> int:
+        self._writes.append(bytes(data))
+        return self._inner.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+@pytest.fixture(params=["serve", "telemetry"])
+def counted(request, store_path, open_session, figure1_index,
+            monkeypatch):
+    """``(server, writes)``: a live server in the ``serve`` or the
+    ``search --telemetry-port`` configuration, whose connections
+    record each socket write into ``writes``, plus a ``/boom`` route
+    whose handler fails."""
+    if request.param == "serve":
+        server = SearchServer(open_session(), index_path=store_path)
+    else:
+        server = SearchServer(SearchSession(figure1_index),
+                              registry=MetricsRegistry())
+    writes: list = []
+    handler = server._httpd.RequestHandlerClass
+    setup = handler.setup
+
+    def counting_setup(self):
+        setup(self)
+        self.wfile = _CountingWriter(self.wfile, writes)
+
+    monkeypatch.setattr(handler, "setup", counting_setup)
+
+    def boom(params):
+        raise RuntimeError("introspection bug")
+
+    server._introspection.add("/boom", boom)
+    with server:
+        yield server, writes
+
+
+def _raw_exchange(server, request: bytes) -> bytes:
+    """Send raw request bytes; read until the server closes."""
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=10.0) as conn:
+        conn.sendall(request)
+        received = b""
+        while chunk := conn.recv(65536):
+            received += chunk
+        return received
+
+
+class TestOneWritePerReply:
+    CASES = [
+        ("POST", "/search", {"query": Q1}, 200),
+        ("POST", "/batch", {"queries": [Q1, "(XML search)"]}, 200),
+        ("GET", "/explain?q=(XML%20search)", None, 200),
+        ("POST", "/search", b"{not json", 400),
+        ("POST", "/nope", {"x": 1}, 404),
+        ("GET", "/nope", None, 404),
+        ("POST", "/search", {"query": Q1}, 429),
+        ("GET", "/boom", None, 500),
+        ("GET", "/metrics", None, 200),
+    ]
+
+    def test_every_reply_is_one_write_with_unchanged_bytes(
+            self, counted, monkeypatch):
+        server, writes = counted
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=10.0)
+        try:
+            conn.connect()
+            sock = conn.sock
+            for method, path, payload, status in self.CASES:
+                if isinstance(payload, dict):
+                    payload = json.dumps(payload).encode()
+                before = len(writes)
+                with monkeypatch.context() as patch:
+                    if status == 429:  # the admission is full
+                        patch.setattr(server._admission, "enter",
+                                      lambda: False)
+                    conn.request(method, path, body=payload)
+                    response = conn.getresponse()
+                    body = response.read()
+                assert response.status == status, (path, body)
+                assert conn.sock is sock  # one keep-alive connection
+                (sent,) = writes[before:]
+                names = [name for name, _ in response.getheaders()]
+                extra = ["Retry-After"] if status == 429 else []
+                assert names == ["Server", "Date", "Content-Type",
+                                 "Content-Length", *extra]
+                assert int(response.getheader("Content-Length")) \
+                    == len(body) > 0
+                head = f"HTTP/1.1 {status} {response.reason}\r\n" + \
+                    "".join(f"{name}: {value}\r\n"
+                            for name, value in response.getheaders())
+                assert sent == head.encode("latin-1") + b"\r\n" + body
+                if status == 429:
+                    assert response.getheader("Retry-After") == "1"
+                if response.getheader("Content-Type") \
+                        == "application/json":
+                    wire.validate_response(json.loads(body))
+        finally:
+            conn.close()
+
+
+class TestStdlibErrors:
+    def test_unsupported_method_is_a_wire_error_in_one_write(
+            self, counted):
+        server, writes = counted
+        received = _raw_exchange(
+            server, b"PUT /search HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: 0\r\n\r\n")
+        assert writes == [received]  # one write, then the close
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert b"\r\nConnection: close" in head
+        assert f"Content-Length: {len(body)}".encode() in head
+        error = json.loads(body)
+        wire.validate_response(error)
+        assert error["status"] == 501
+        assert "PUT" in error["error"]
+
+    def test_head_gets_a_bodiless_501(self, counted):
+        server, writes = counted
+        received = _raw_exchange(
+            server, b"HEAD /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        assert writes == [received]
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nConnection: close" in head
+        assert b"\r\nContent-Length: " in head
+        assert body == b""
+
+    def test_malformed_request_line_is_a_wire_error_in_one_write(
+            self, counted):
+        server, writes = counted
+        received = _raw_exchange(server, b"GET / x HTTP/1.1\r\n\r\n")
+        assert writes == [received]
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"\r\nConnection: close" in head
+        error = json.loads(body)
+        wire.validate_response(error)
+        assert error["status"] == 400
+        assert "Bad request syntax" in error["error"]
+
+    @pytest.mark.parametrize("length", [b"-1", b"many"])
+    def test_unframed_post_body_is_a_400_that_closes(self, counted,
+                                                      length):
+        server, writes = counted
+        received = _raw_exchange(
+            server, b"POST /search HTTP/1.1\r\nContent-Length: " +
+            length + b'\r\n\r\n{"query": "(XML)"}')
+        assert writes == [received]
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert b"\r\nConnection: close" in head
+        error = json.loads(body)
+        wire.validate_response(error)
+        assert "Content-Length" in error["error"]

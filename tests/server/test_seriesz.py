@@ -96,8 +96,8 @@ class TestTelemetryEndpoint:
 
 
 class TestSearchServer:
-    def test_default_server_serves_seriesz(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_default_server_serves_seriesz(self, store_path, open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             http_post(server.url + "/search", {"query": Q1})
             status, document = http_get(server.url + "/seriesz")
@@ -108,8 +108,9 @@ class TestSearchServer:
             # the store is the one sampler: it probes the process
             assert "resource:threads" in document["series"]
 
-    def test_seriesz_parity_under_a_frozen_clock(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_seriesz_parity_under_a_frozen_clock(self, store_path,
+                                                 open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             http_post(server.url + "/search", {"query": Q1})
             store = server.timeseries
@@ -122,8 +123,8 @@ class TestSearchServer:
             assert _raw_get(server.url + "/seriesz") == raw
 
     def test_full_admission_breaches_the_inflight_budget(
-            self, store_path):
-        session = SearchSession.from_store(store_path)
+            self, store_path, open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             store, admission = server.timeseries, server._admission
             # one sampler thread: no separate watchdog runs beside it
@@ -145,8 +146,8 @@ class TestSearchServer:
                 while admission.inflight:
                     admission.leave()
 
-    def test_disabled_series_interval_is_404(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_disabled_series_interval_is_404(self, store_path, open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path,
                           series_interval=None) as server:
             assert server.timeseries is None
@@ -154,16 +155,17 @@ class TestSearchServer:
             assert status == 404
             assert body["status"] == 404  # the wire-format 404 shape
 
-    def test_close_stops_the_scrape_loop(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_close_stops_the_scrape_loop(self, store_path, open_session):
+        session = open_session()
         server = SearchServer(session, index_path=store_path)
         store = server.timeseries
         assert store.running
         server.close()
         assert not store.running
 
-    def test_introspection_routes_emit_no_wide_events(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_introspection_routes_emit_no_wide_events(
+            self, store_path, open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             status, _ = http_get(server.url + "/seriesz")
             assert status == 200
@@ -172,7 +174,7 @@ class TestSearchServer:
 
 class TestSharedRouteTable:
     def test_both_surfaces_register_every_shared_route(
-            self, store_path, figure1_index):
+            self, store_path, open_session, figure1_index):
         # serve's server over a store and the telemetry port's server
         # over an in-memory session answer every catalogued GET route
         routes = {route.split(" ", 1)[1] for route in wire.SERVER_ROUTES
@@ -180,7 +182,7 @@ class TestSharedRouteTable:
         assert {"/metrics", "/healthz", "/profilez", "/tracez",
                 "/flamez", "/sloz", "/debugz", "/seriesz"} <= routes
         surfaces = (
-            lambda: SearchServer(SearchSession.from_store(store_path),
+            lambda: SearchServer(open_session(),
                                  index_path=store_path),
             lambda: SearchServer(SearchSession(figure1_index)))
         for surface in surfaces:
@@ -196,9 +198,9 @@ class TestServingContext:
     own."""
 
     def test_session_console_renders_over_the_local_store(
-            self, store_path):
+            self, store_path, open_session):
         import io
-        session = SearchSession.from_store(store_path)
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             session.search(Q1)
             server.timeseries.scrape()
@@ -242,8 +244,8 @@ class TestOneSampler:
             _wait_for_scrapes(store, 3)
         self._assert_one_point_per_scrape(store)
 
-    def test_default_search_server(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_default_search_server(self, store_path, open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             store = server.timeseries
             http_post(server.url + "/search", {"query": Q1})

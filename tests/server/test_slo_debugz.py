@@ -9,7 +9,6 @@ import pytest
 
 from repro.obs import (FLIGHT_BUNDLE_FIELDS, FLIGHT_SCHEMA_VERSION,
                        MetricsRegistry, FlightRecorder, SLOEngine)
-from repro.runtime.session import SearchSession
 from repro.server import SearchServer
 
 from tests.server.conftest import http_get, http_post
@@ -31,7 +30,7 @@ def _raw_get(url: str) -> bytes:
 
 
 @pytest.fixture()
-def frozen(store_path):
+def frozen(store_path, open_session):
     """A server with an injected frozen-clock SLO engine and flight
     recorder, so every document it serves is deterministic."""
     clock = FakeClock(now=123456.0)
@@ -40,7 +39,7 @@ def frozen(store_path):
     recorder = FlightRecorder(capacity=32, clock=clock,
                               registry=registry, slo=engine,
                               traces_provider=list)
-    session = SearchSession.from_store(store_path)
+    session = open_session()
     with SearchServer(session, index_path=store_path,
                       slo=engine,
                       flight=recorder) as live:
@@ -97,7 +96,7 @@ class TestParity:
 
 class TestBreachThroughTheServer:
     def test_http_errors_burn_into_page_and_dump_a_bundle(
-            self, store_path):
+            self, store_path, open_session):
         """All-error traffic against a tight objective walks the
         server-attached engine into page state, which fires the flight
         recorder exactly once (then rate-limits)."""
@@ -109,7 +108,7 @@ class TestBreachThroughTheServer:
         recorder = FlightRecorder(capacity=32, clock=clock,
                                   registry=registry, slo=engine,
                                   traces_provider=list)
-        session = SearchSession.from_store(store_path)
+        session = open_session()
         with SearchServer(session, index_path=store_path,
                           slo=engine,
                           flight=recorder) as server:
@@ -135,8 +134,9 @@ class TestBreachThroughTheServer:
 
 
 class TestDefaults:
-    def test_default_server_serves_sloz_and_debugz(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_default_server_serves_sloz_and_debugz(self, store_path,
+                                                   open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             http_post(server.url + "/search", {"query": Q1})
             status, sloz = http_get(server.url + "/sloz")
@@ -154,8 +154,8 @@ class TestDefaults:
             assert "gauge:server_inflight_requests" in \
                 bundle["gauge_snapshots"]
 
-    def test_disabled_slo_and_flight_are_404(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_disabled_slo_and_flight_are_404(self, store_path, open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path,
                           slo=False,
                           flight=False) as server:
@@ -163,8 +163,9 @@ class TestDefaults:
                 status, _ = http_get(server.url + route)
                 assert status == 404
 
-    def test_healthz_reports_generation_and_inflight(self, store_path):
-        session = SearchSession.from_store(store_path)
+    def test_healthz_reports_generation_and_inflight(self, store_path,
+                                                     open_session):
+        session = open_session()
         with SearchServer(session, index_path=store_path) as server:
             status, body = http_get(server.url + "/healthz")
             assert status == 200
