@@ -5,6 +5,7 @@ Subcommands::
     cohesive-search index build   DOC.xml IDX     # build a posting store
     cohesive-search index merge   IDX             # compact / upgrade a store
     cohesive-search index inspect IDX             # format + segment report
+    cohesive-search index verify  IDX             # check every CRC + block
     cohesive-search search DOC.xml "(a (b c))"    # run a query
     cohesive-search serve  IDX --port 8080        # HTTP search service
     cohesive-search top    http://127.0.0.1:8080  # live ops console
@@ -16,8 +17,11 @@ Subcommands::
 (``--format v1`` keeps the legacy layout); ``index merge`` compacts a
 segmented v2 store — or upgrades a v1 store — in place or to
 ``--output``; ``index inspect`` prints format, segments, tombstones and
-dead bytes (docs/INDEX_FORMAT.md).  The bare spelling ``index DOC.xml
-IDX`` is a usage error (exit 2): name the ``build`` subcommand.
+dead bytes; ``index verify`` checks every footer and CRC of the
+directory chain and decodes every live block, exiting 1 with the
+store error on the first fault (docs/INDEX_FORMAT.md).  The bare
+spelling ``index DOC.xml IDX`` is a usage error (exit 2): name the
+``build`` subcommand.
 ``search --index`` autodetects either format on its magic.
 
 ``search`` accepts ``--index`` to reuse a prebuilt store, ``--top`` to
@@ -90,7 +94,7 @@ from repro.errors import ReproError
 from repro.index.inverted import InvertedIndex
 from repro.index.store import save_index
 from repro.index.store_v2 import (inspect_index, merge_index, open_index,
-                                  save_index_v2)
+                                  save_index_v2, verify_index)
 from repro.obs import (configure_logging, format_report, get_logger,
                        get_metrics, metrics_scope)
 from repro.obs.bench import DEFAULT_MIN_SECONDS, DEFAULT_THRESHOLD
@@ -149,6 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
     inspect_cmd.add_argument("--json", action="store_true",
                              help="emit the report as JSON instead of "
                                   "the human table")
+    verify_cmd = index_sub.add_parser(
+        "verify", help="check every footer, CRC and live block of a "
+                       "store")
+    verify_cmd.add_argument("store")
 
     experiment_cmd = sub.add_parser(
         "experiment",
@@ -442,6 +450,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         "build": _cmd_index_build,
         "merge": _cmd_index_merge,
         "inspect": _cmd_index_inspect,
+        "verify": _cmd_index_verify,
     }
     return handlers[args.index_command](args)
 
@@ -485,6 +494,15 @@ def _cmd_index_merge(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_index_verify(args: argparse.Namespace) -> int:
+    report = verify_index(args.store)
+    print(f"ok {report['path']}: {report['format']}, "
+          f"{report['records']} record(s), {report['segments']} "
+          f"segment(s), {report['keywords']} keywords, "
+          f"{report['postings']} postings decoded")
+    return 0
+
+
 def _cmd_index_inspect(args: argparse.Namespace) -> int:
     summary = inspect_index(args.store)
     if args.json:
@@ -496,6 +514,7 @@ def _cmd_index_inspect(args: argparse.Namespace) -> int:
     if summary["format"] == "CKSIDX2":
         print(f"{'keywords / segment':22s} "
               f"{' '.join(map(str, summary['segment_keywords']))}")
+        print(f"{'directory records':22s} {summary['chain_length']}")
         if summary["dedup_groups"]:
             print(f"{'dedup groups':22s} {summary['dedup_groups']}")
             print(f"{'dedup blocks':22s} {summary['dedup_blocks']}")

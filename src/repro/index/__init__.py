@@ -12,7 +12,8 @@ embedded one:
 * :mod:`repro.index.store` — the legacy eager CKSIDX1 binary format;
 * :mod:`repro.index.store_v2` — the mmap-backed, segmented CKSIDX2
   format with lazy posting decode (:class:`LazyIndex`), append-only
-  incremental segments, tombstones and :func:`merge_index` compaction;
+  incremental segments, tombstones, :func:`merge_index` compaction and
+  :func:`verify_index` checking;
 * :class:`repro.index.segmented.SegmentedIndex` — lazy in-memory union
   of member indexes (incremental corpora without rebuilds);
 * :class:`repro.index.catalog.Catalog` — label / label-path statistics.
@@ -27,7 +28,7 @@ from repro.index.store import load_index, save_index
 from repro.index.store_v2 import (LazyIndex, append_segment,
                                   append_tombstones, inspect_index,
                                   load_index_v2, merge_index, open_index,
-                                  save_index_v2)
+                                  save_index_v2, verify_index)
 from repro.index.streaming import (StreamingIndexer, index_xml,
                                    index_xml_path)
 from repro.index.tokenizer import (Tokenizer, default_tokenizer,
@@ -54,4 +55,5 @@ __all__ = [
     "append_tombstones",
     "merge_index",
     "inspect_index",
+    "verify_index",
 ]

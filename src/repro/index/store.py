@@ -72,11 +72,28 @@ def read_varint(data: BinaryIO) -> int:
 def replace_file(path: PathLike, blob: bytes) -> None:
     """Write ``blob`` to a sibling temp file and ``os.replace`` it over
     ``path``, so a reader that has the old file mmap'd keeps its old
-    bytes instead of faulting on a truncated mapping."""
+    bytes instead of faulting on a truncated mapping.
+
+    The temp name is unique per call, so concurrent writers never share
+    one; the temp file is ``fsync``'d before the replace and the
+    directory after it, so a crash leaves the old file or the new one.
+    """
     target = Path(path)
-    scratch = target.with_name(target.name + ".tmp")
-    scratch.write_bytes(blob)
-    os.replace(scratch, target)
+    scratch = target.with_name(f"{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(scratch, "xb") as out:
+            out.write(blob)
+            out.flush()
+            os.fsync(out.fileno())
+        os.replace(scratch, target)
+    except BaseException:
+        scratch.unlink(missing_ok=True)
+        raise
+    directory = os.open(target.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def save_index(index: InvertedIndex, path: PathLike) -> int:

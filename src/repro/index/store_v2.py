@@ -11,22 +11,39 @@ the file, parses only the directory, and returns a :class:`LazyIndex`
 that decodes a keyword's block on first access.
 
 Incremental updates are append-only *segments*: :func:`append_segment`
-writes a new payload of posting blocks after the current end of file and
-a fresh directory + footer covering all segments; the superseded
-directory becomes dead space until :func:`merge_index` compacts the
-store back to a single segment.  A segment entry may also be a
-*tombstone* (:func:`append_tombstones`), which shadows every older
-segment's postings for that keyword.
+writes a new payload of posting blocks after the current end of file,
+then a *delta* directory holding only the new segment's extents, then a
+footer that points back at the previous footer.  The directory is thus
+a chain of records — one *base* (the full directory a whole-file writer
+or :func:`merge_index` produces) followed by zero or more deltas — and
+an append costs the size of its segment, never the size of the index.
+A segment entry may also be a *tombstone* (:func:`append_tombstones`),
+which shadows every older segment's postings for that keyword.
 
 Layout::
 
     magic      8 bytes  b"CKSIDX2\\n"
-    payload*            concatenated posting blocks (any order)
-    directory           varint-encoded, see below
-    footer    24 bytes  dir_offset u64 LE | dir_length u64 LE
-                        | b"CKS2TAIL"
+    base record         payload* directory footer
+    delta record*       payload* directory footer    # one per append
 
-    directory:
+    footer    36 bytes  prev u64 LE        # end of the previous record's
+                                           # footer; 0 for the base
+                        | start u64 LE     # first byte the CRC covers
+                        | dir_offset u64 LE
+                        | crc u32 LE       # zlib.crc32 over
+                                           # [start, footer) + the three
+                                           # fields above
+                        | b"CKS2LOG1"
+
+    A base's CRC starts at its directory (its payload is read lazily
+    and is not checked at open); a delta's starts at its payload, so a
+    torn or flipped byte anywhere in an append fails the CRC.  The
+    first layout's footer — dir_offset u64 LE | dir_length u64 LE |
+    b"CKS2TAIL", 24 bytes, no CRC, one full directory — is still read
+    as a base, so stores written before the chain existed open and
+    accept appends unchanged.
+
+    directory (of a base or a delta):
         nseg varint                       # segments, oldest first
         per segment:
             nkw varint
@@ -34,7 +51,8 @@ Layout::
                 klen varint, key bytes (UTF-8)
                 flag varint               # 0 postings, 1 tombstone,
                                           # 2 subtree table, 3 dedup
-                offset varint             # absolute file offset
+                offset varint             # absolute file offset,
+                                          # inside the record's payload
                 length varint             # block length in bytes
                 npost varint              # postings in the block
                                           # (flag 2: dedup groups;
@@ -76,23 +94,28 @@ store decodes to byte-identical posting tuples.
         nresidual varint
         residual posting*   # front-coded; coding resets
 
-Appending repeats ``payload directory footer`` after the previous
-footer; readers find the *live* directory through the footer at EOF, so
-earlier directories (and shadowed blocks) are simply dead bytes.  See
-docs/INDEX_FORMAT.md for the full specification and lifecycle.
+Readers take the footer at EOF and walk the ``prev`` chain back to the
+base.  A footer at EOF that is torn or fails its CRC (a crash mid-append)
+falls back to the newest earlier footer that verifies; a record below a
+valid footer that fails its CRC is an error, never silently dropped.
+See docs/INDEX_FORMAT.md for the full specification and lifecycle.
 """
 
 from __future__ import annotations
 
+import fcntl
 import io
 import mmap
 import os
 import struct
+import zlib
 from collections.abc import Mapping as MappingABC
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import (Iterable, Mapping, NamedTuple, Optional, Sequence,
+                    Union)
 
 from repro.errors import StoreFormatError
 from repro.index.inverted import InvertedIndex, Posting
@@ -104,10 +127,16 @@ from repro.obs import get_logger, get_metrics
 from repro.tree import dewey
 
 MAGIC_V2 = b"CKSIDX2\n"
-TAIL_MAGIC = b"CKS2TAIL"
-FOOTER_SIZE = 8 + 8 + len(TAIL_MAGIC)
-
-_FOOTER_STRUCT = struct.Struct("<QQ8s")
+#: Tail magic of a chained record's footer (see the module docstring).
+TAIL_MAGIC = b"CKS2LOG1"
+_FOOTER_STRUCT = struct.Struct("<QQQI8s")
+_FOOTER_FIELDS = struct.Struct("<QQQ")  # the CRC'd prefix of a footer
+FOOTER_SIZE = _FOOTER_STRUCT.size
+#: The first layout's footer: one full directory and no CRC.  Read as a
+#: chain base; never written.
+LEGACY_TAIL_MAGIC = b"CKS2TAIL"
+_LEGACY_FOOTER_STRUCT = struct.Struct("<QQ8s")
+LEGACY_FOOTER_SIZE = _LEGACY_FOOTER_STRUCT.size
 
 _log = get_logger("index.store_v2")
 
@@ -378,18 +407,7 @@ def decode_dedup_block(buffer, start: int, length: int, npost: int,
 
 # -- the directory ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class Extent:
-    """One directory entry: where a keyword's block lives in one segment.
-
-    ``kind`` distinguishes the four extent flavors (``postings``,
-    ``tombstone``, ``table``, ``dedup``); when omitted it is inferred
-    from ``tombstone`` so the historical five-argument constructor
-    keeps working.  ``segment`` is the index of the owning segment —
-    a dedup extent resolves its group ids against *its own* segment's
-    subtree table, never another segment's.
-    """
-
+class _ExtentFields(NamedTuple):
     keyword: str
     tombstone: bool
     offset: int
@@ -398,13 +416,34 @@ class Extent:
     kind: str = ""
     segment: int = 0
 
-    def __post_init__(self) -> None:
-        if not self.kind:
-            object.__setattr__(
-                self, "kind",
-                "tombstone" if self.tombstone else "postings")
-        elif self.kind == "tombstone":
-            object.__setattr__(self, "tombstone", True)
+
+class Extent(_ExtentFields):
+    """One directory entry: where a keyword's block lives in one segment.
+
+    ``kind`` distinguishes the four extent flavors (``postings``,
+    ``tombstone``, ``table``, ``dedup``); when omitted it is inferred
+    from ``tombstone`` so the historical five-argument constructor
+    keeps working.  ``segment`` is the index of the owning segment —
+    a dedup extent resolves its group ids against *its own* segment's
+    subtree table, never another segment's.
+
+    A named tuple rather than a frozen dataclass because an open builds
+    one per directory entry: the directory parser, which always knows
+    the kind, builds them with ``Extent._make`` at a third of a frozen
+    dataclass's cost.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, keyword: str, tombstone: bool, offset: int,
+                length: int, npost: int, kind: str = "",
+                segment: int = 0) -> "Extent":
+        if not kind:
+            kind = "tombstone" if tombstone else "postings"
+        elif kind == "tombstone":
+            tombstone = True
+        return super().__new__(cls, keyword, tombstone, offset, length,
+                               npost, kind, segment)
 
 
 def _encode_segment_payload(postings: Mapping[str, Sequence[Posting]],
@@ -448,87 +487,212 @@ def _encode_directory(segments: Sequence[Sequence[Extent]]) -> bytes:
     return buffer.getvalue()
 
 
-def _encode_footer(dir_offset: int, dir_length: int) -> bytes:
-    return _FOOTER_STRUCT.pack(dir_offset, dir_length, TAIL_MAGIC)
+def _encode_footer(prev: int, start: int, dir_offset: int,
+                   covered: bytes) -> bytes:
+    """A record's footer; ``covered`` is the bytes ``[start, footer)``."""
+    fields = _FOOTER_FIELDS.pack(prev, start, dir_offset)
+    crc = zlib.crc32(fields, zlib.crc32(covered))
+    return _FOOTER_STRUCT.pack(prev, start, dir_offset, crc, TAIL_MAGIC)
 
 
-def _parse_directory(buffer, size: int) -> list[list[Extent]]:
-    """Parse the live directory of an open v2 container.
+@dataclass(frozen=True)
+class _Record:
+    """One verified directory record of the chain: a base or a delta.
 
-    Validates the footer and every extent against the file size, so a
-    corrupt directory can never send a reader past EOF.
+    ``prev`` is where the previous record ends (0 for a base),
+    ``low`` the first byte its extents may point at, and
+    ``[dir_offset, dir_end)`` its directory; its footer ends at ``end``.
     """
-    if size < len(MAGIC_V2) + FOOTER_SIZE:
+
+    prev: int
+    low: int
+    dir_offset: int
+    dir_end: int
+    end: int
+
+
+def _record_ending_at(buffer, end: int) -> _Record:
+    """The record whose footer ends at byte ``end``, verified.
+
+    A chained footer must hold ordered fields and a matching CRC; a
+    first-layout footer must sit right after its directory.  Raises
+    :class:`~repro.errors.StoreFormatError` otherwise.
+    """
+    tail = bytes(buffer[max(0, end - len(TAIL_MAGIC)):end])
+    if tail == TAIL_MAGIC and end >= len(MAGIC_V2) + FOOTER_SIZE:
+        footer = end - FOOTER_SIZE
+        prev, start, dir_offset, crc, _ = _FOOTER_STRUCT.unpack(
+            bytes(buffer[footer:end]))
+        if prev == 0:
+            ordered = len(MAGIC_V2) <= start == dir_offset <= footer
+        else:
+            ordered = len(MAGIC_V2) < prev <= start <= dir_offset <= footer
+        if not ordered:
+            raise StoreFormatError(
+                f"footer ending at {end} has out-of-order fields "
+                f"(prev {prev}, start {start}, directory {dir_offset})")
+        fields = _FOOTER_FIELDS.pack(prev, start, dir_offset)
+        if zlib.crc32(fields, zlib.crc32(buffer[start:footer])) != crc:
+            raise StoreFormatError(
+                f"CRC mismatch in the record ending at {end}")
+        return _Record(prev, start if prev else len(MAGIC_V2),
+                       dir_offset, footer, end)
+    if tail == LEGACY_TAIL_MAGIC and \
+            end >= len(MAGIC_V2) + LEGACY_FOOTER_SIZE:
+        footer = end - LEGACY_FOOTER_SIZE
+        dir_offset, dir_length, _ = _LEGACY_FOOTER_STRUCT.unpack(
+            bytes(buffer[footer:end]))
+        if dir_offset < len(MAGIC_V2) or dir_offset + dir_length != footer:
+            raise StoreFormatError(
+                f"directory extent [{dir_offset}, {dir_offset + dir_length})"
+                f" does not end at its footer ({footer})")
+        return _Record(0, len(MAGIC_V2), dir_offset, footer, end)
+    raise StoreFormatError(f"bad footer magic {tail!r} at {end}")
+
+
+def _read_head(buffer, strict: bool = False) -> _Record:
+    """Check a v2 container's magic and return its newest record: the
+    one whose footer ends at EOF or, unless ``strict``, the newest
+    earlier footer that verifies (the recovery from a torn tail)."""
+    size = len(buffer)
+    if size < len(MAGIC_V2) + LEGACY_FOOTER_SIZE:
         raise StoreFormatError("file too short for a CKSIDX2 store")
     if bytes(buffer[:len(MAGIC_V2)]) != MAGIC_V2:
         raise StoreFormatError(
             f"bad magic {bytes(buffer[:len(MAGIC_V2)])!r}; not a CKSIDX2 "
             "store")
     try:
-        dir_offset, dir_length, tail = _FOOTER_STRUCT.unpack(
-            bytes(buffer[size - FOOTER_SIZE:size]))
-    except struct.error as error:  # pragma: no cover - size checked above
-        raise StoreFormatError(f"unreadable footer: {error}") from None
-    if tail != TAIL_MAGIC:
-        raise StoreFormatError(f"bad footer magic {tail!r}")
-    if dir_offset < len(MAGIC_V2) or \
-            dir_offset + dir_length > size - FOOTER_SIZE:
-        raise StoreFormatError(
-            f"directory extent [{dir_offset}, {dir_offset + dir_length})"
-            f" outside the file body")
-    position = dir_offset
-    end = dir_offset + dir_length
-    nseg, position = _read_varint_at(buffer, position, end)
+        return _record_ending_at(buffer, size)
+    except StoreFormatError as error:
+        if strict:
+            raise StoreFormatError(
+                f"torn or corrupt tail: {error}") from None
+        failure = error
+    search_end = size - 1
+    while True:
+        found = max(buffer.rfind(TAIL_MAGIC, 0, search_end),
+                    buffer.rfind(LEGACY_TAIL_MAGIC, 0, search_end))
+        if found < 0:
+            raise failure
+        try:
+            return _record_ending_at(buffer, found + len(TAIL_MAGIC))
+        except StoreFormatError:
+            search_end = found + len(TAIL_MAGIC) - 1
+
+
+def _read_chain(buffer, strict: bool = False
+                ) -> tuple[list[_Record], list[list[Extent]]]:
+    """Verify a v2 container's record chain and parse its directories.
+
+    Returns the chain's records and segments, both oldest first;
+    segment indices count from the base's first segment.  A record
+    below the head that fails to verify raises — newer segments are
+    never dropped silently.
+    """
+    records = [_read_head(buffer, strict)]
+    while records[-1].prev:
+        try:
+            records.append(_record_ending_at(buffer, records[-1].prev))
+        except StoreFormatError as error:
+            raise StoreFormatError(
+                f"the record below the one ending at {records[-1].end} "
+                f"is corrupt: {error}") from None
+    records.reverse()
     segments: list[list[Extent]] = []
-    for segment_index in range(nseg):
-        nkw, position = _read_varint_at(buffer, position, end)
-        extents: list[Extent] = []
-        for _ in range(nkw):
-            klen, position = _read_varint_at(buffer, position, end)
-            if position + klen > end:
-                raise StoreFormatError("truncated keyword in directory")
-            try:
-                keyword = bytes(buffer[position:position + klen]) \
-                    .decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise StoreFormatError(
-                    f"undecodable keyword in directory: {error}") from None
-            position += klen
-            flag, position = _read_varint_at(buffer, position, end)
-            offset, position = _read_varint_at(buffer, position, end)
-            length, position = _read_varint_at(buffer, position, end)
-            npost, position = _read_varint_at(buffer, position, end)
-            kind = _KIND_BY_FLAG.get(flag)
-            if kind is None:
-                raise StoreFormatError(f"bad extent flag {flag}")
-            # The empty keyword is reserved for the subtree table and
-            # the table may use no other key: a flipped flag byte on a
-            # real keyword (or a flipped key length on a table) fails
-            # here instead of silently shadowing postings.
-            if (kind == "table") != (keyword == TABLE_KEYWORD):
-                raise StoreFormatError(
-                    f"extent flag {flag} is invalid for keyword "
-                    f"{keyword!r}: the empty keyword is reserved for "
-                    "the subtree table")
-            tombstone = kind == "tombstone"
-            if not tombstone:
-                if offset < len(MAGIC_V2) or \
-                        offset + length > size - FOOTER_SIZE:
+    for record in records:
+        segments.extend(_parse_directory(buffer, record, len(segments)))
+    return records, segments
+
+
+def _parse_directory(buffer, record: _Record,
+                     first_segment: int) -> list[list[Extent]]:
+    """Parse one record's directory; its segments are numbered from
+    ``first_segment``.
+
+    Validates every extent against the record's own payload, so a
+    corrupt directory can never send a reader past its bytes.  Open
+    time is this loop, so single-byte varints (nearly every key
+    length, flag and count) are read inline.
+    """
+    data = bytes(buffer[record.dir_offset:record.dir_end])
+    end = len(data)
+    low, high = record.low, record.dir_offset
+    read = _read_varint_at
+    make_extent = Extent._make
+    segments: list[list[Extent]] = []
+    try:
+        nseg, position = read(data, 0, end)
+        for segment_index in range(first_segment, first_segment + nseg):
+            nkw, position = read(data, position, end)
+            extents: list[Extent] = []
+            for _ in range(nkw):
+                klen = data[position]
+                if klen < 0x80:
+                    position += 1
+                else:
+                    klen, position = read(data, position, end)
+                if position + klen > end:
+                    raise StoreFormatError("truncated keyword in directory")
+                try:
+                    keyword = data[position:position + klen].decode("utf-8")
+                except UnicodeDecodeError as error:
                     raise StoreFormatError(
-                        f"posting block [{offset}, {offset + length}) "
-                        f"for {keyword!r} outside the file body")
-                # A posting needs >= 3 bytes (shared, extra, freq) and
-                # a subtree group >= 3 (count + one bare occurrence),
-                # so an absurd count is caught before any decode
-                # attempt.  Dedup extents are exempt: their npost is
-                # the EXPANDED posting count, which fan-out makes
-                # larger than the stored bytes — that is the point.
-                if kind != "dedup" and npost * 3 > length:
+                        f"undecodable keyword in directory: {error}"
+                    ) from None
+                position += klen
+                flag = data[position]
+                if flag < 0x80:
+                    position += 1
+                else:
+                    flag, position = read(data, position, end)
+                offset, position = read(data, position, end)
+                length = data[position]
+                if length < 0x80:
+                    position += 1
+                else:
+                    length, position = read(data, position, end)
+                npost = data[position]
+                if npost < 0x80:
+                    position += 1
+                else:
+                    npost, position = read(data, position, end)
+                kind = _KIND_BY_FLAG.get(flag)
+                if kind is None:
+                    raise StoreFormatError(f"bad extent flag {flag}")
+                # The empty keyword is reserved for the subtree table
+                # and the table may use no other key: a flipped flag
+                # byte on a real keyword (or a flipped key length on a
+                # table) fails here instead of silently shadowing
+                # postings.
+                if (kind == "table") != (keyword == TABLE_KEYWORD):
                     raise StoreFormatError(
-                        f"{npost} postings cannot fit in {length} bytes")
-            extents.append(Extent(keyword, tombstone, offset, length,
-                                  npost, kind, segment_index))
-        segments.append(extents)
+                        f"extent flag {flag} is invalid for keyword "
+                        f"{keyword!r}: the empty keyword is reserved for "
+                        "the subtree table")
+                tombstone = kind == "tombstone"
+                if not tombstone:
+                    if offset < low or offset + length > high:
+                        raise StoreFormatError(
+                            f"posting block [{offset}, {offset + length}) "
+                            f"for {keyword!r} outside its record's payload "
+                            f"[{low}, {high})")
+                    # A posting needs >= 3 bytes (shared, extra, freq)
+                    # and a subtree group >= 3 (count + one bare
+                    # occurrence), so an absurd count is caught before
+                    # any decode attempt.  Dedup extents are exempt:
+                    # their npost is the EXPANDED posting count, which
+                    # fan-out makes larger than the stored bytes — that
+                    # is the point.
+                    if kind != "dedup" and npost * 3 > length:
+                        raise StoreFormatError(
+                            f"{npost} postings cannot fit in {length} "
+                            "bytes")
+                extents.append(make_extent((keyword, tombstone, offset,
+                                            length, npost, kind,
+                                            segment_index)))
+            segments.append(extents)
+    except IndexError:  # an inline varint read ran off the directory
+        raise StoreFormatError("truncated varint") from None
     if position != end:
         raise StoreFormatError("trailing bytes after directory")
     return segments
@@ -538,23 +702,20 @@ def _live_extents(segments: Sequence[Sequence[Extent]]
                   ) -> dict[str, tuple[Extent, ...]]:
     """keyword → its live extents, oldest first.
 
-    Scans newest → oldest; a tombstone shadows everything older, so the
-    scan stops there for that keyword.
+    Scans oldest → newest; a tombstone drops every older extent of its
+    keyword, and a later segment may insert the keyword again.
     """
-    live: dict[str, list[Extent]] = {}
-    dead: set[str] = set()
-    for extents in reversed(segments):
+    live: dict[str, tuple[Extent, ...]] = {}
+    for extents in segments:
         for extent in extents:
             if extent.kind == "table":  # metadata, not a keyword
                 continue
-            if extent.keyword in dead:
-                continue
             if extent.tombstone:
-                dead.add(extent.keyword)
-                continue
-            live.setdefault(extent.keyword, []).append(extent)
-    return {keyword: tuple(reversed(entries))
-            for keyword, entries in live.items() if entries}
+                live.pop(extent.keyword, None)
+            else:
+                live[extent.keyword] = \
+                    live.get(extent.keyword, ()) + (extent,)
+    return live
 
 
 def _segment_tables(segments: Sequence[Sequence[Extent]]
@@ -802,11 +963,17 @@ def encode_index_v2(index: Union[InvertedIndex,
     buffer.write(MAGIC_V2)
     payload, extents = _encode_segment_payload(postings, len(MAGIC_V2))
     buffer.write(payload)
-    directory = _encode_directory([extents])
-    buffer.write(directory)
-    buffer.write(_encode_footer(len(MAGIC_V2) + len(payload),
-                                len(directory)))
+    _write_base_directory(buffer, [extents])
     return buffer.getvalue()
+
+
+def _write_base_directory(buffer: io.BytesIO,
+                          segments: Sequence[Sequence[Extent]]) -> None:
+    """Finish a whole-file container: its base directory and footer."""
+    dir_offset = buffer.tell()
+    directory = _encode_directory(segments)
+    buffer.write(directory)
+    buffer.write(_encode_footer(0, dir_offset, dir_offset, directory))
 
 
 def save_index_v2(index: InvertedIndex, path: PathLike) -> int:
@@ -969,10 +1136,7 @@ def encode_index_v2_dedup(index: Union[InvertedIndex,
         extents.append(Extent(keyword, False, buffer.tell(),
                               len(block), len(plist), "dedup"))
         buffer.write(block)
-    directory = _encode_directory([extents])
-    buffer.write(directory)
-    buffer.write(_encode_footer(buffer.tell() - len(directory),
-                                len(directory)))
+    _write_base_directory(buffer, [extents])
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("dedup_groups_written", len(groups))
@@ -1001,12 +1165,9 @@ def load_index_v2(path: PathLike,
     with metrics.span("index-open"):
         file = open(path, "rb")
         try:
-            size = os.fstat(file.fileno()).st_size
-            if size == 0:
-                raise StoreFormatError("empty file is not a CKSIDX2 store")
-            buffer = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+            buffer = _map(file)
             try:
-                segments = _parse_directory(buffer, size)
+                _, segments = _read_chain(buffer)
             except BaseException:
                 buffer.close()
                 raise
@@ -1019,6 +1180,39 @@ def load_index_v2(path: PathLike,
     return LazyIndex(path, file, buffer, segments, tokenizer)
 
 
+def _map(file) -> mmap.mmap:
+    """A read-only map of an open store file."""
+    if os.fstat(file.fileno()).st_size == 0:
+        raise StoreFormatError("empty file is not a CKSIDX2 store")
+    return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+@contextmanager
+def _locked(path: Path, mode: str):
+    """Open ``path`` holding its exclusive writer lock.
+
+    Appends and merges serialize on ``fcntl.flock``.  A merge installs
+    a new file under the path, so a writer that waited for the lock
+    re-opens until the file it locked is the one the path names —
+    otherwise its append would land in the replaced file and be lost.
+    """
+    while True:
+        file = open(path, mode)
+        try:
+            fcntl.flock(file.fileno(), fcntl.LOCK_EX)
+            locked, named = os.fstat(file.fileno()), os.stat(path)
+        except BaseException:
+            file.close()
+            raise
+        if (locked.st_dev, locked.st_ino) == (named.st_dev, named.st_ino):
+            break
+        file.close()
+    try:
+        yield file
+    finally:
+        file.close()  # releases the lock
+
+
 def open_index(path: PathLike,
                tokenizer: Optional[Tokenizer] = None) -> InvertedIndex:
     """Open a posting store of either format, autodetected on magic.
@@ -1028,20 +1222,25 @@ def open_index(path: PathLike,
     readable with no deprecation step.
     """
     path = Path(path)
+    if _probe_magic(path) == MAGIC_V2:
+        return load_index_v2(path, tokenizer)
+    metrics = get_metrics()
+    if metrics.enabled:
+        metrics.inc("index_open_v1")
+    index = _load_index_v1(path)
+    if tokenizer is not None:
+        index = InvertedIndex(index.raw_postings(), tokenizer)
+    return index
+
+
+def _probe_magic(path: Path) -> bytes:
     with open(path, "rb") as probe:
         magic = probe.read(len(MAGIC_V2))
-    if magic == MAGIC_V2:
-        return load_index_v2(path, tokenizer)
-    if magic == MAGIC_V1:
-        metrics = get_metrics()
-        if metrics.enabled:
-            metrics.inc("index_open_v1")
-        index = _load_index_v1(path)
-        if tokenizer is not None:
-            index = InvertedIndex(index.raw_postings(), tokenizer)
-        return index
-    raise StoreFormatError(
-        f"bad magic {magic!r}; not a posting store or unsupported version")
+    if magic not in (MAGIC_V1, MAGIC_V2):
+        raise StoreFormatError(
+            f"bad magic {magic!r}; not a posting store or unsupported "
+            "version")
+    return magic
 
 
 def append_segment(path: PathLike,
@@ -1076,33 +1275,31 @@ def append_tombstones(path: PathLike, keywords: Iterable[str]) -> int:
 
 def _append(path: PathLike, postings: Mapping[str, Sequence[Posting]],
             tombstones: Sequence[str]) -> int:
-    path = Path(path)
-    with open(path, "rb") as file:
-        size = os.fstat(file.fileno()).st_size
-        if size == 0:
-            raise StoreFormatError("empty file is not a CKSIDX2 store")
-        buffer = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            segments = _parse_directory(buffer, size)
-        finally:
-            buffer.close()
-    with open(path, "r+b") as out:
-        out.seek(0, os.SEEK_END)
-        base = out.tell()
-        payload, extents = _encode_segment_payload(postings, base,
+    """Append one delta record: payload, directory, ``fsync``, footer,
+    ``fsync``.  Only the newest record is read; a torn tail is left
+    behind as dead bytes and the new record chains to the newest
+    footer that verifies."""
+    with _locked(Path(path), "r+b") as file:
+        with _map(file) as buffer:
+            size = len(buffer)
+            head = _read_head(buffer)
+        payload, extents = _encode_segment_payload(postings, size,
                                                    tombstones)
-        segments.append(extents)
-        directory = _encode_directory(segments)
-        out.write(payload)
-        out.write(directory)
-        out.write(_encode_footer(base + len(payload), len(directory)))
-        appended = out.tell() - base
+        body = payload + _encode_directory([extents])
+        file.seek(size)
+        file.write(body)
+        file.flush()
+        os.fsync(file.fileno())
+        footer = _encode_footer(head.end, size, size + len(payload), body)
+        file.write(footer)
+        file.flush()
+        os.fsync(file.fileno())
+    appended = len(body) + len(footer)
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("segment_appends")
         metrics.inc("store_bytes_written", appended)
-    _log.debug("appended segment #%d (%d bytes) to %s",
-               len(segments), appended, path)
+    _log.debug("appended a %d-byte segment to %s", appended, path)
     return appended
 
 
@@ -1116,29 +1313,25 @@ def merge_index(path: PathLike, output: Optional[PathLike] = None,
     Accepts a v1 store too, which upgrades it to v2.  ``dedup=True``
     re-runs subtree deduplication on the merged postings (a deduped
     source merges to a plain store otherwise — compaction expands the
-    fan-out and keeps the expanded postings byte-identical).  Returns
-    the bytes written.
+    fan-out and keeps the expanded postings byte-identical).  Holds the
+    store's writer lock throughout, so no append lands in the file the
+    merge replaces.  Returns the bytes written.
     """
     path = Path(path)
     target = Path(output) if output is not None else path
-    with open(path, "rb") as probe:
-        magic = probe.read(len(MAGIC_V2))
-    if magic == MAGIC_V1:
-        index: InvertedIndex = _load_index_v1(path)
-        merged = dict(index.raw_postings())
-        dropped = 1  # one v1 "segment" rewritten
-    elif magic == MAGIC_V2:
-        with load_index_v2(path, tokenizer) as lazy:
-            merged = {keyword: lazy.raw_postings()[keyword]
-                      for keyword in lazy.raw_postings()}
-            dropped = lazy.segment_count
-    else:
-        raise StoreFormatError(
-            f"bad magic {magic!r}; not a posting store or unsupported "
-            "version")
-    blob = encode_index_v2_dedup(merged) if dedup \
-        else encode_index_v2(merged)
-    replace_file(target, blob)
+    with _locked(path, "rb"):
+        if _probe_magic(path) == MAGIC_V1:
+            index: InvertedIndex = _load_index_v1(path)
+            merged = dict(index.raw_postings())
+            dropped = 1  # one v1 "segment" rewritten
+        else:
+            with load_index_v2(path, tokenizer) as lazy:
+                merged = {keyword: lazy.raw_postings()[keyword]
+                          for keyword in lazy.raw_postings()}
+                dropped = lazy.segment_count
+        blob = encode_index_v2_dedup(merged) if dedup \
+            else encode_index_v2(merged)
+        replace_file(target, blob)
     metrics = get_metrics()
     if metrics.enabled:
         metrics.inc("segment_merges")
@@ -1149,34 +1342,30 @@ def merge_index(path: PathLike, output: Optional[PathLike] = None,
 
 
 def inspect_index(path: PathLike) -> dict:
-    """Structural summary of a store file (either format), JSON-ready."""
+    """Structural summary of a store file (either format), JSON-ready.
+
+    ``dead_bytes`` counts everything that no live record references:
+    shadowed blocks, torn tails and first-layout directories superseded
+    by a later one.  ``chain_length`` is the number of directory
+    records (the base plus one delta per append since the last merge).
+    """
     path = Path(path)
-    size = path.stat().st_size
-    with open(path, "rb") as probe:
-        magic = probe.read(len(MAGIC_V2))
-    if magic == MAGIC_V1:
+    if _probe_magic(path) == MAGIC_V1:
         index = _load_index_v1(path)
         postings = index.raw_postings()
         return {
             "path": str(path),
             "format": "CKSIDX1",
-            "bytes": size,
+            "bytes": path.stat().st_size,
             "keywords": len(postings),
             "postings": sum(len(plist) for plist in postings.values()),
             "segments": 1,
             "tombstones": 0,
             "lazy": False,
         }
-    if magic != MAGIC_V2:
-        raise StoreFormatError(
-            f"bad magic {magic!r}; not a posting store or unsupported "
-            "version")
-    with open(path, "rb") as file:
-        buffer = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
-        try:
-            segments = _parse_directory(buffer, size)
-        finally:
-            buffer.close()
+    with open(path, "rb") as file, _map(file) as buffer:
+        size = len(buffer)
+        records, segments = _read_chain(buffer)
     live = _live_extents(segments)
     tables = _segment_tables(segments)
     live_bytes = sum(extent.length for extents in live.values()
@@ -1184,6 +1373,8 @@ def inspect_index(path: PathLike) -> dict:
     live_bytes += sum(extent.length for extent in tables.values())
     dedup_blocks = sum(1 for extents in live.values()
                        for extent in extents if extent.kind == "dedup")
+    directory_bytes = sum(record.end - record.dir_offset
+                          for record in records)
     return {
         "path": str(path),
         "format": "CKSIDX2",
@@ -1193,16 +1384,40 @@ def inspect_index(path: PathLike) -> dict:
                         for extent in extents),
         "segments": len(segments),
         "segment_keywords": [len(extents) for extents in segments],
+        "chain_length": len(records),
         "tombstones": sum(1 for extents in segments
                           for extent in extents if extent.tombstone),
         "dedup_groups": sum(extent.npost for extent in tables.values()),
         "dedup_blocks": dedup_blocks,
         "live_payload_bytes": live_bytes,
-        "dead_bytes": size - live_bytes - len(MAGIC_V2) - FOOTER_SIZE
-        - _directory_size(segments),
+        "dead_bytes": size - len(MAGIC_V2) - live_bytes - directory_bytes,
         "lazy": True,
     }
 
 
-def _directory_size(segments: Sequence[Sequence[Extent]]) -> int:
-    return len(_encode_directory(segments))
+def verify_index(path: PathLike) -> dict:
+    """Check a store end to end and summarize what was checked.
+
+    For CKSIDX2: the footer at EOF must verify (a torn tail, which
+    :func:`load_index_v2` recovers from, is a fault here), every record
+    of the chain must pass its CRC, and every live block — posting,
+    dedup and subtree-table extents — must decode.  A CKSIDX1 store is
+    decoded whole.  Raises :class:`~repro.errors.StoreFormatError` on
+    the first fault.
+    """
+    path = Path(path)
+    if _probe_magic(path) == MAGIC_V1:
+        postings = _load_index_v1(path).raw_postings()
+        return {"path": str(path), "format": "CKSIDX1", "records": 1,
+                "segments": 1, "keywords": len(postings),
+                "postings": sum(len(plist) for plist in postings.values())}
+    with open(path, "rb") as file, _map(file) as buffer:
+        records, segments = _read_chain(buffer, strict=True)
+        tables = _segment_tables(segments)
+        lazy = _LazyPostings(buffer, _live_extents(segments), tables)
+        total = sum(len(lazy[keyword]) for keyword in lazy)
+        for segment in tables:
+            lazy.segment_groups(segment)
+    return {"path": str(path), "format": "CKSIDX2",
+            "records": len(records), "segments": len(segments),
+            "keywords": len(lazy), "postings": total}

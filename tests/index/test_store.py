@@ -129,3 +129,41 @@ class TestStoreErrors:
                          b"\x03\x00\x01")
         with pytest.raises(StoreFormatError):
             load_index(path)
+
+
+class TestReplaceFile:
+    @pytest.mark.parametrize("writer", ["v1", "v2"])
+    def test_concurrent_saves_both_leave_a_valid_store(self, tmp_path,
+                                                       writer):
+        """Two writers saving over one path each use their own temp
+        file, so every replace installs a whole store."""
+        import threading
+
+        from repro.index.store_v2 import open_index, save_index_v2
+        save = save_index if writer == "v1" else save_index_v2
+        path = tmp_path / "shared.idx"
+        indexes = [InvertedIndex({f"k{number}": [Posting((number,), 1)]})
+                   for number in range(2)]
+        errors = []
+
+        def saver(index):
+            try:
+                for _ in range(30):
+                    save(index, path)
+            except Exception as error:  # surfaced below
+                errors.append(error)
+
+        threads = [threading.Thread(target=saver, args=(index,))
+                   for index in indexes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        opened = open_index(path)
+        try:
+            assert dict(opened.raw_postings()) in [
+                dict(index.raw_postings()) for index in indexes]
+        finally:
+            getattr(opened, "close", lambda: None)()
+        assert list(tmp_path.iterdir()) == [path]

@@ -10,15 +10,18 @@ from repro.errors import IndexError_, StoreFormatError
 from repro.index.inverted import InvertedIndex, Posting
 from repro.index.store import MAGIC as MAGIC_V1
 from repro.index.store import load_index, save_index
-from repro.index.store_v2 import (FOOTER_SIZE, MAGIC_V2, TAIL_MAGIC,
+from repro.index.store_v2 import (FOOTER_SIZE, LEGACY_TAIL_MAGIC,
+                                  MAGIC_V2, TAIL_MAGIC,
                                   LazyIndex, append_segment,
                                   append_tombstones, decode_dedup_block,
                                   decode_subtree_table, encode_dedup_block,
                                   encode_index_v2, encode_index_v2_dedup,
+                                  encode_posting_block,
                                   encode_subtree_table,
                                   find_duplicate_subtrees, inspect_index,
                                   load_index_v2, merge_index, open_index,
-                                  save_index_v2, save_index_v2_dedup)
+                                  save_index_v2, save_index_v2_dedup,
+                                  verify_index)
 from repro.obs import metrics_scope
 
 posting_lists = st.dictionaries(
@@ -318,9 +321,11 @@ class TestCorruption:
 
     def test_directory_offset_past_eof(self, tmp_path):
         blob = _store_bytes(InvertedIndex({"k": [Posting((0,), 1)]}))
-        footer = struct.pack("<QQ8s", 10_000, 5, TAIL_MAGIC)
-        with pytest.raises(StoreFormatError):
-            self._load(tmp_path, bytes(blob[:-FOOTER_SIZE]) + footer)
+        for footer in (struct.pack("<QQQI8s", 0, 10_000, 10_000, 0,
+                                   TAIL_MAGIC),
+                       struct.pack("<QQ8s", 10_000, 5, LEGACY_TAIL_MAGIC)):
+            with pytest.raises(StoreFormatError):
+                self._load(tmp_path, bytes(blob[:-FOOTER_SIZE]) + footer)
 
     def test_posting_block_past_eof(self, tmp_path):
         # A directory whose extent points beyond the file body.
@@ -335,7 +340,7 @@ class TestCorruption:
             [[Extent("k", False, 100_000, 30, 3)]])
         offset = body.tell()
         body.write(directory)
-        body.write(_encode_footer(offset, len(directory)))
+        body.write(_encode_footer(0, offset, offset, directory))
         with pytest.raises(StoreFormatError):
             self._load(tmp_path, body.getvalue())
 
@@ -353,7 +358,7 @@ class TestCorruption:
             [[Extent("k", False, len(MAGIC_V2), len(block), 500)]])
         offset = body.tell()
         body.write(directory)
-        body.write(_encode_footer(offset, len(directory)))
+        body.write(_encode_footer(0, offset, offset, directory))
         with pytest.raises(StoreFormatError):
             self._load(tmp_path, body.getvalue())
 
@@ -367,7 +372,7 @@ class TestCorruption:
         directory = b"\xff" * 10 + b"\x7f"
         offset = body.tell()
         body.write(directory)
-        body.write(_encode_footer(offset, len(directory)))
+        body.write(_encode_footer(0, offset, offset, directory))
         with pytest.raises(StoreFormatError):
             self._load(tmp_path, body.getvalue())
 
@@ -385,7 +390,7 @@ class TestCorruption:
             [[Extent("k", False, len(MAGIC_V2), len(block), 1)]])
         offset = body.tell()
         body.write(directory)
-        body.write(_encode_footer(offset, len(directory)))
+        body.write(_encode_footer(0, offset, offset, directory))
         path = tmp_path / "shared.idx2"
         path.write_bytes(body.getvalue())
         with load_index_v2(path) as lazy:
@@ -548,7 +553,7 @@ class TestDedupCorruption:
         directory = _encode_directory([extents])
         offset = body.tell()
         body.write(directory)
-        body.write(_encode_footer(offset, len(directory)))
+        body.write(_encode_footer(0, offset, offset, directory))
         return body.getvalue()
 
     def test_table_flag_requires_empty_keyword(self, tmp_path):
@@ -700,3 +705,287 @@ class TestRewriteUnderReader:
             assert len(rebuilt) == 1
         finally:
             getattr(rebuilt, "close", lambda: None)()
+
+
+def _lists(index) -> dict:
+    """keyword → posting tuple, for keyword-by-keyword comparison."""
+    try:
+        return {keyword: tuple(plist)
+                for keyword, plist in index.raw_postings().items()}
+    finally:
+        getattr(index, "close", lambda: None)()
+
+
+def _segment(number: int) -> dict:
+    """A small segment: one keyword of its own and one shared one."""
+    return {f"only{number}": [Posting((number, 1), 1)],
+            "shared": [Posting((number, 2), 2), Posting((number, 3), 1)]}
+
+
+def _union(*parts) -> dict:
+    merged = InvertedIndex({})
+    for part in parts:
+        merged = merged.merged_with(InvertedIndex(part))
+    return {keyword: tuple(plist)
+            for keyword, plist in merged.raw_postings().items()}
+
+
+class TestCrashRecovery:
+    """An append is payload, directory, footer; a crash or a flipped
+    byte anywhere in it must leave the pre-append index, never wrong
+    postings."""
+
+    @pytest.fixture
+    def chain(self, tmp_path):
+        """A base and one delta (``pre``), then a second append whose
+        bytes are the region under test."""
+        path = tmp_path / "chain.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        append_segment(path, _segment(1))
+        pre = path.read_bytes()
+        append_segment(path, _segment(2))
+        post = path.read_bytes()
+        assert post.startswith(pre)
+        return path, pre, post
+
+    def test_truncation_at_every_offset_opens_the_pre_append_index(
+            self, chain):
+        path, pre, post = chain
+        before = _union(_segment(0), _segment(1))
+        after = _union(before, _segment(2))
+        for cut in range(len(pre), len(post) + 1):
+            path.write_bytes(post[:cut])
+            expected = after if cut == len(post) else before
+            assert _lists(open_index(path)) == expected, cut
+
+    def test_flipping_any_append_byte_opens_the_pre_append_index(
+            self, chain):
+        path, pre, post = chain
+        before = _union(_segment(0), _segment(1))
+        for position in range(len(pre), len(post)):
+            blob = bytearray(post)
+            blob[position] ^= 0xFF
+            path.write_bytes(bytes(blob))
+            assert _lists(open_index(path)) == before, position
+
+    def test_append_after_a_torn_tail(self, chain):
+        path, pre, post = chain
+        for cut in (len(pre) + 1, (len(pre) + len(post)) // 2,
+                    len(post) - 1):
+            path.write_bytes(post[:cut])
+            append_segment(path, _segment(3))
+            assert _lists(open_index(path)) == _union(
+                _segment(0), _segment(1), _segment(3)), cut
+            report = inspect_index(path)
+            assert report["dead_bytes"] == cut - len(pre)
+            assert report["chain_length"] == 3
+            verify_index(path)
+
+    def test_corrupt_delta_below_a_valid_footer_raises(self, chain):
+        path, pre, post = chain
+        blob = bytearray(post)
+        blob[len(pre) - FOOTER_SIZE - 1] ^= 0xFF  # delta 1's directory
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreFormatError, match="below"):
+            open_index(path)
+        # an append reads only the newest record, so it lands; the
+        # chain below it stays broken rather than being cut short
+        append_segment(path, _segment(3))
+        with pytest.raises(StoreFormatError, match="below"):
+            open_index(path)
+
+    def test_corrupt_base_footer_with_nothing_older_raises(self, tmp_path):
+        path = tmp_path / "base.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        blob = bytearray(path.read_bytes())
+        blob[-FOOTER_SIZE] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreFormatError):
+            open_index(path)
+
+
+def _legacy_store(*segments) -> bytes:
+    """A store in the first layout, as the parent format's appends left
+    it: per segment, its payload, a full directory of every segment so
+    far and a 24-byte ``CKS2TAIL`` footer without a CRC."""
+    import io
+
+    from repro.index.store_v2 import Extent, _encode_directory
+    body = io.BytesIO()
+    body.write(MAGIC_V2)
+    directory = []
+    for number, postings in enumerate(segments):
+        extents = []
+        for keyword in sorted(postings):
+            block = encode_posting_block(postings[keyword])
+            extents.append(Extent(keyword, False, body.tell(), len(block),
+                                  len(postings[keyword]),
+                                  segment=number))
+            body.write(block)
+        directory.append(extents)
+        encoded = _encode_directory(directory)
+        offset = body.tell()
+        body.write(encoded)
+        body.write(struct.pack("<QQ8s", offset, len(encoded),
+                               LEGACY_TAIL_MAGIC))
+    return body.getvalue()
+
+
+class TestLegacyLayout:
+    """Stores written before the directory chain existed open, accept
+    appends and merge unchanged."""
+
+    def test_open_append_merge(self, tmp_path):
+        path = tmp_path / "legacy.idx2"
+        path.write_bytes(_legacy_store(_segment(0), _segment(1)))
+        assert _lists(open_index(path)) == _union(_segment(0), _segment(1))
+        report = inspect_index(path)
+        assert report["segments"] == 2
+        assert report["chain_length"] == 1
+        # the first full directory and its footer are dead
+        assert report["dead_bytes"] > 0
+        append_segment(path, _segment(2))
+        expected = _union(_segment(0), _segment(1), _segment(2))
+        assert _lists(open_index(path)) == expected
+        assert inspect_index(path)["chain_length"] == 2
+        verify_index(path)
+        merge_index(path)
+        assert _lists(open_index(path)) == expected
+        report = inspect_index(path)
+        assert (report["segments"], report["chain_length"],
+                report["dead_bytes"]) == (1, 1, 0)
+
+    def test_torn_legacy_tail_falls_back_to_the_older_full_directory(
+            self, tmp_path):
+        path = tmp_path / "legacy.idx2"
+        blob = _legacy_store(_segment(0), _segment(1))
+        path.write_bytes(blob[:-3])
+        assert _lists(open_index(path)) == _union(_segment(0))
+        append_segment(path, _segment(2))
+        assert _lists(open_index(path)) == _union(_segment(0), _segment(2))
+
+
+class TestInspectChain:
+    def test_fresh_store_has_no_dead_bytes_after_appends(self, tmp_path):
+        path = tmp_path / "fresh.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        for number in range(1, 6):
+            append_segment(path, _segment(number))
+            report = inspect_index(path)
+            assert report["dead_bytes"] == 0
+            assert report["chain_length"] == number + 1
+            assert report["segments"] == number + 1
+
+    def test_torn_tail_is_dead_bytes(self, tmp_path):
+        path = tmp_path / "torn.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        append_segment(path, _segment(1))
+        with open(path, "ab") as out:
+            out.write(b"\x01" * 17)
+        report = inspect_index(path)
+        assert report["dead_bytes"] == 17
+        assert report["chain_length"] == 2
+
+    def test_tombstoned_blocks_are_dead_bytes(self, tmp_path):
+        path = tmp_path / "tomb.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        append_tombstones(path, ["only0"])
+        with load_index_v2(path) as lazy:
+            assert "only0" not in lazy.keywords()
+        assert inspect_index(path)["dead_bytes"] == len(
+            encode_posting_block(_segment(0)["only0"]))
+
+
+class TestVerify:
+    def test_good_store(self, tmp_path):
+        path = tmp_path / "good.idx2"
+        save_index_v2_dedup(_duplicated_index(), path)
+        append_segment(path, _segment(1))
+        report = verify_index(path)
+        assert (report["records"], report["segments"]) == (2, 2)
+        with load_index_v2(path) as lazy:
+            assert report["postings"] == sum(
+                len(lazy.postings(keyword)) for keyword in lazy.keywords())
+
+    def test_torn_tail_fails_verify_but_opens(self, tmp_path):
+        path = tmp_path / "torn.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        with open(path, "ab") as out:
+            out.write(b"\x00" * 5)
+        with pytest.raises(StoreFormatError, match="torn"):
+            verify_index(path)
+        assert _lists(open_index(path)) == _union(_segment(0))
+
+    def test_undecodable_block_fails_verify(self, tmp_path):
+        # shared=3 with no previous code: the directory is sound, the
+        # block is not — only a decode finds it.
+        import io
+
+        from repro.index.store_v2 import (Extent, _encode_directory,
+                                          _encode_footer)
+        body = io.BytesIO()
+        body.write(MAGIC_V2)
+        body.write(b"\x03\x00\x01")
+        directory = _encode_directory(
+            [[Extent("k", False, len(MAGIC_V2), 3, 1)]])
+        offset = body.tell()
+        body.write(directory)
+        body.write(_encode_footer(0, offset, offset, directory))
+        path = tmp_path / "block.idx2"
+        path.write_bytes(body.getvalue())
+        with pytest.raises(StoreFormatError, match="shared prefix"):
+            verify_index(path)
+
+    def test_v1_store(self, figure1_index, tmp_path):
+        path = tmp_path / "v1.idx"
+        save_index(figure1_index, path)
+        assert verify_index(path)["keywords"] == len(figure1_index)
+
+
+class TestConcurrentWriters:
+    def test_two_threads_append_concurrently(self, tmp_path):
+        import threading
+
+        path = tmp_path / "shared.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        numbers = (range(1, 21), range(21, 41))
+
+        def writer(mine):
+            for number in mine:
+                append_segment(path, _segment(number))
+
+        threads = [threading.Thread(target=writer, args=(mine,))
+                   for mine in numbers]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert _lists(open_index(path)) == _union(
+            *(_segment(number) for number in range(41)))
+        assert inspect_index(path)["chain_length"] == 41
+        verify_index(path)
+
+    def test_append_racing_merge_loses_no_segment(self, tmp_path):
+        import threading
+
+        path = tmp_path / "raced.idx2"
+        save_index_v2(InvertedIndex(_segment(0)), path)
+        done = threading.Event()
+        merges = []
+
+        def merger():
+            while not done.is_set():
+                merge_index(path)
+                merges.append(1)
+
+        thread = threading.Thread(target=merger)
+        thread.start()
+        try:
+            for number in range(1, 31):
+                append_segment(path, _segment(number))
+        finally:
+            done.set()
+            thread.join()
+        assert merges
+        assert _lists(open_index(path)) == _union(
+            *(_segment(number) for number in range(31)))

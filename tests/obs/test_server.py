@@ -2,6 +2,7 @@
 /flamez, /seriesz — on the search server that ``search
 --telemetry-port`` runs over an in-memory session."""
 
+import io
 import json
 import urllib.error
 import urllib.request
@@ -17,9 +18,18 @@ from tests.conftest import Q1
 
 
 def _get(url):
-    with urllib.request.urlopen(url, timeout=5) as response:
-        return (response.status, response.headers.get("Content-Type"),
-                response.read().decode("utf-8"))
+    try:
+        with urllib.request.urlopen(url, timeout=5) as response:
+            return (response.status, response.headers.get("Content-Type"),
+                    response.read().decode("utf-8"))
+    except urllib.error.HTTPError as error:
+        # An HTTPError holds the reply's socket open; keep its body for
+        # the caller and close the socket.
+        with error:
+            body = error.read()
+        raise urllib.error.HTTPError(error.url, error.code, error.reason,
+                                     error.headers,
+                                     io.BytesIO(body)) from None
 
 
 @pytest.fixture

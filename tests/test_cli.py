@@ -178,6 +178,27 @@ class TestIndexSubcommands:
                      str(target)]) == 0
         assert target.exists() and source.exists()
 
+    def test_verify_good_store(self, document, tmp_path, capsys):
+        store = tmp_path / "good.idx2"
+        assert main(["index", "build", str(document), str(store)]) == 0
+        capsys.readouterr()
+        assert main(["index", "verify", str(store)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"ok {store}: CKSIDX2, 1 record(s)")
+
+    def test_verify_flipped_byte_fails_with_the_store_error(
+            self, document, tmp_path, capsys):
+        store = tmp_path / "flipped.idx2"
+        assert main(["index", "build", str(document), str(store)]) == 0
+        blob = bytearray(store.read_bytes())
+        blob[-40] ^= 0xFF  # the directory, under the footer's CRC
+        store.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["index", "verify", str(store)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: torn or corrupt tail: CRC")
+
     def test_inspect_bad_file_reports_error(self, tmp_path, capsys):
         junk = tmp_path / "junk.idx"
         junk.write_bytes(b"not an index at all")
