@@ -16,6 +16,13 @@ which mode pytest-benchmark records.
 both v2 directory layouts: the first one (a single full directory, what
 appends rewrote before the directory chain) and the chain that
 ``append_segment`` writes now (a base plus 63 CRC-checked deltas).
+
+``test_merge_copies_blocks`` times compaction of a store shaped like
+the ``store-churn`` workload's: a 300-document base and 16
+one-document appends.  It prints the merge for the reference path
+(decode every keyword, merge, encode again) and for ``merge_index``,
+which copies canonical blocks, and checks that both write the same
+bytes.
 """
 
 import os
@@ -28,7 +35,9 @@ from repro.index.store import load_index, save_index
 from repro.index.store_v2 import (LEGACY_TAIL_MAGIC, MAGIC_V2,
                                   _encode_directory,
                                   _encode_segment_payload, append_segment,
-                                  load_index_v2, save_index_v2)
+                                  encode_index_v2, load_index_v2,
+                                  merge_index, save_index_v2)
+from repro.index.streaming import index_xml
 from repro.evaluation.reporting import format_table
 
 from conftest import report, scaled
@@ -204,3 +213,84 @@ def test_open_after_64_segments(benchmark, tmp_path):
                  f"{first_s * 1e3:.2f}", str(first_path.stat().st_size)],
                 ["chain: base + 63 deltas", f"{chain_s * 1e3:.2f}",
                  str(chain_path.stat().st_size)]]))
+
+
+CHURN_BASE_DOCUMENTS = 300
+CHURN_APPENDS = 16
+CHURN_RECORDS = 10
+CHURN_VOCABULARY = 6000
+CHURN_NAMES = 800
+
+
+def _churn_documents(count: int) -> list[str]:
+    """Small bibliographies: per record a title, 1-3 authors and topic
+    words, drawn from a Zipf-weighted (s = 0.6) vocabulary."""
+    rng = random.Random(1)
+    words = [f"w{number}" for number in range(CHURN_VOCABULARY)]
+    names = [f"n{number}" for number in range(CHURN_NAMES)]
+    rng.shuffle(words)
+    weights = [1.0 / (rank + 1) ** 0.6 for rank in range(len(words))]
+    documents = []
+    for _ in range(count):
+        parts = ["<bib>"]
+        for _ in range(CHURN_RECORDS):
+            title = " ".join(rng.choices(words, weights, k=6))
+            topic = " ".join(rng.choices(words, weights, k=3))
+            authors = "".join(
+                f"<author>{rng.choice(names)} {rng.choice(names)}</author>"
+                for _ in range(rng.randint(1, 3)))
+            parts.append(f"<record><title>{title}</title>{authors}"
+                         f"<topic>{topic}</topic></record>")
+        parts.append("</bib>")
+        documents.append("".join(parts))
+    return documents
+
+
+def _document_postings(xml: str, number: int) -> dict:
+    """One document's postings under the Dewey prefix ``(number,)``."""
+    return {keyword: [Posting((number,) + posting.code, posting.frequency)
+                      for posting in plist]
+            for keyword, plist in index_xml(xml).raw_postings().items()}
+
+
+def _reference_merge(path, output):
+    """Compaction by decoding every keyword and encoding it again."""
+    with load_index_v2(path) as lazy:
+        postings = lazy.raw_postings()
+        blob = encode_index_v2({keyword: postings[keyword]
+                                for keyword in postings})
+    output.write_bytes(blob)
+
+
+def test_merge_copies_blocks(benchmark, tmp_path):
+    documents = _churn_documents(CHURN_BASE_DOCUMENTS + CHURN_APPENDS)
+    lists: dict = {}
+    for number, xml in enumerate(documents[:CHURN_BASE_DOCUMENTS]):
+        for keyword, plist in _document_postings(xml, number).items():
+            lists.setdefault(keyword, []).extend(plist)
+    path = tmp_path / "churn.ckx"
+    save_index_v2(InvertedIndex(lists), path)
+    for number in range(CHURN_BASE_DOCUMENTS, len(documents)):
+        append_segment(path, _document_postings(documents[number], number))
+    reference_path = tmp_path / "reference.ckx"
+    merged_path = tmp_path / "merged.ckx"
+
+    reference_s, _, merge_s, _ = _best_of_interleaved(
+        lambda: _reference_merge(path, reference_path),
+        lambda: merge_index(path, output=merged_path))
+    assert merged_path.read_bytes() == reference_path.read_bytes()
+
+    benchmark.pedantic(lambda: merge_index(path, output=merged_path),
+                       rounds=1, iterations=1)
+    benchmark.extra_info["merge_ms"] = {"reference": reference_s * 1e3,
+                                        "merge_index": merge_s * 1e3}
+    with load_index_v2(path) as lazy:
+        keywords, segments = len(lazy), lazy.segment_count
+    report(f"Merge of a store-churn-shaped store ({keywords} keywords, "
+           f"{segments} segments, {path.stat().st_size} bytes)",
+           format_table(
+               ["merge", "best of 5 (ms)", "speedup"],
+               [["decode, merge and encode every keyword",
+                 f"{reference_s * 1e3:.1f}", "1.00"],
+                ["merge_index (copies canonical blocks)",
+                 f"{merge_s * 1e3:.1f}", f"{reference_s / merge_s:.2f}"]]))

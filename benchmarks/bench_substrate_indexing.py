@@ -5,13 +5,23 @@ the paper's MySQL-resident inverted lists: XML parsing + indexing
 throughput (tree-materializing vs streaming paths, which are verified to
 produce identical indexes) and the size of the binary posting store
 relative to the XML source.
+
+``test_ingest_scales_linearly`` checks that parsing and streaming
+indexing stay linear in the document's length: a document four times
+as long may cost at most five times as much.
 """
 
+import gc
+import time
+from collections import deque
+
+from repro.datasets import generate_dblp
 from repro.index.inverted import InvertedIndex
 from repro.index.store import save_index
 from repro.index.streaming import index_xml
 from repro.evaluation.reporting import format_table
 from repro.xmlio.loader import load_tree
+from repro.xmlio.pull_parser import PullParser
 from repro.xmlio.writer import dump_tree
 
 from conftest import report
@@ -41,3 +51,59 @@ def test_indexing_paths(benchmark, efficiency_indexes, tmp_path):
                     f"{store_bytes / len(document):.2f}"],
                ]))
     assert store_bytes < len(document)
+
+
+#: Fixed, not scaled: the check needs documents long enough that a
+#: scan from byte 0 per event would dominate (about 78 KB and 310 KB).
+SCALING_BASE = 200
+SCALING_FACTOR = 4
+SCALING_BOUND = 5.0
+SCALING_ROUNDS = 5
+
+
+def _best_seconds(function, documents) -> list[float]:
+    """Best time of ``function`` on each document, over interleaved
+    rounds with the collector off (as ``timeit`` does), so that the
+    collector's pauses over the growing output are not counted."""
+    best = [float("inf")] * len(documents)
+    for _ in range(SCALING_ROUNDS):
+        for position, document in enumerate(documents):
+            gc.collect()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                function(document)
+                elapsed = time.perf_counter() - start
+            finally:
+                gc.enable()
+            best[position] = min(best[position], elapsed)
+    return best
+
+
+def test_ingest_scales_linearly(benchmark):
+    body = dump_tree(generate_dblp(scale=SCALING_BASE, seed=1).tree,
+                     declaration=False)
+    small = f"<corpus>{body}</corpus>"
+    large = f"<corpus>{body * SCALING_FACTOR}</corpus>"
+
+    def parse(document):
+        deque(PullParser(document), maxlen=0)
+
+    ratios = {}
+    rows = []
+    for name, function in (("pull parse", parse),
+                           ("streaming index", index_xml)):
+        small_s, large_s = _best_seconds(function, [small, large])
+        ratios[name] = large_s / small_s
+        rows.append([name, f"{small_s * 1e3:.1f}", f"{large_s * 1e3:.1f}",
+                     f"{ratios[name]:.2f}"])
+    benchmark.pedantic(lambda: parse(large), rounds=1, iterations=1)
+    benchmark.extra_info["cost_ratios"] = ratios
+    report(f"Substrate: ingest cost at {SCALING_FACTOR}x the document "
+           f"({len(small):,} -> {len(large):,} chars)",
+           format_table(["stage", "best (ms)",
+                         f"{SCALING_FACTOR}x best (ms)", "ratio"], rows))
+    for name, ratio in ratios.items():
+        assert ratio <= SCALING_BOUND, (
+            f"{name}: a {SCALING_FACTOR}x document cost {ratio:.2f}x "
+            f"(bound {SCALING_BOUND}x)")

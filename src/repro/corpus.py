@@ -324,7 +324,10 @@ class Corpus:
         limit and break the identical-answer guarantee.
         """
         parsed = parse_query(query) if isinstance(query, str) else query
-        keywords = sorted(parsed.distinct_keywords())
+        # Key the lists as the worker's index looks them up: by the
+        # tokenizer-normalised keyword, not as the query spells it.
+        keywords = sorted({self._index._normalize(keyword)
+                           for keyword in parsed.distinct_keywords()})
         lists = {keyword: self._index.postings(keyword, limit=list_limit)
                  for keyword in keywords}
         if any(not plist for plist in lists.values()):

@@ -107,6 +107,7 @@ import fcntl
 import io
 import mmap
 import os
+import re
 import struct
 import zlib
 from collections.abc import Mapping as MappingABC
@@ -211,49 +212,81 @@ def _read_varint_at(buffer, position: int, end: int) -> tuple[int, int]:
 
 # -- posting blocks ---------------------------------------------------------
 
+def _write_front_coded(buffer: io.BytesIO, previous: Sequence[int],
+                       code: Sequence[int]) -> None:
+    """Write ``code`` front-coded against ``previous``: the longest
+    shared prefix, the number of new steps, the new steps."""
+    shared = 0
+    for a, b in zip(previous, code):
+        if a != b:
+            break
+        shared += 1
+    write_varint(buffer, shared)
+    write_varint(buffer, len(code) - shared)
+    for step in code[shared:]:
+        write_varint(buffer, step)
+
+
 def encode_posting_block(plist: Sequence[Posting]) -> bytes:
     """Front-code one posting list (the v1 body encoding, sans count)."""
     buffer = io.BytesIO()
     previous: tuple[int, ...] = ()
     for posting in plist:
-        code = posting.code
-        shared = 0
-        for a, b in zip(previous, code):
-            if a != b:
-                break
-            shared += 1
-        write_varint(buffer, shared)
-        write_varint(buffer, len(code) - shared)
-        for step in code[shared:]:
-            write_varint(buffer, step)
+        _write_front_coded(buffer, previous, posting.code)
         write_varint(buffer, posting.frequency)
-        previous = code
+        previous = posting.code
     return buffer.getvalue()
 
 
-def _decode_postings_at(buffer, position: int, end: int,
-                        npost: int) -> tuple[list[Posting], int]:
+def _decode_postings(data, position: int,
+                     npost: int) -> tuple[list[Posting], int]:
     """Decode ``npost`` front-coded postings starting at ``position``.
 
-    Returns ``(postings, next_position)``.  Front coding starts fresh
-    (the first posting must carry its full code).
+    ``data`` ends where the block ends (a slice, never the whole map):
+    reading past it is a truncated varint.  Returns ``(postings,
+    next_position)``.  Front coding starts fresh (the first posting
+    must carry its full code).  Cold reads and merges spend their time
+    here, so single-byte varints (nearly every count, step and
+    frequency) are read inline.
     """
+    end = len(data)
+    read = _read_varint_at
     postings: list[Posting] = []
+    append = postings.append
     previous: tuple[int, ...] = ()
-    for _ in range(npost):
-        shared, position = _read_varint_at(buffer, position, end)
-        if shared > len(previous):
-            raise StoreFormatError(
-                f"shared prefix {shared} longer than previous code")
-        extra, position = _read_varint_at(buffer, position, end)
-        steps = []
-        for _ in range(extra):
-            step, position = _read_varint_at(buffer, position, end)
-            steps.append(step)
-        code = previous[:shared] + tuple(steps)
-        frequency, position = _read_varint_at(buffer, position, end)
-        postings.append(Posting(code, frequency))
-        previous = code
+    try:
+        for _ in range(npost):
+            shared = data[position]
+            if shared < 0x80:
+                position += 1
+            else:
+                shared, position = read(data, position, end)
+            if shared > len(previous):
+                raise StoreFormatError(
+                    f"shared prefix {shared} longer than previous code")
+            extra = data[position]
+            if extra < 0x80:
+                position += 1
+            else:
+                extra, position = read(data, position, end)
+            steps = []
+            for _ in range(extra):
+                step = data[position]
+                if step < 0x80:
+                    position += 1
+                else:
+                    step, position = read(data, position, end)
+                steps.append(step)
+            code = previous[:shared] + tuple(steps)
+            frequency = data[position]
+            if frequency < 0x80:
+                position += 1
+            else:
+                frequency, position = read(data, position, end)
+            append(Posting(code, frequency))
+            previous = code
+    except IndexError:  # an inline read ran off the block
+        raise StoreFormatError("truncated varint") from None
     return postings, position
 
 
@@ -264,11 +297,94 @@ def decode_posting_block(buffer, start: int, length: int,
     ``buffer`` may be any byte-indexable object (bytes, mmap).  The
     block must consume exactly ``length`` bytes.
     """
-    end = start + length
-    postings, position = _decode_postings_at(buffer, start, end, npost)
-    if position != end:
+    postings, position = _decode_postings(buffer[start:start + length],
+                                          0, npost)
+    if position != length:
         raise StoreFormatError("trailing bytes after posting block")
     return tuple(postings)
+
+
+#: A continuation byte followed by a zero byte: the last byte of a
+#: varint written longer than it needs to be (``0x80 0x00`` for 0).
+_NON_MINIMAL_VARINT = re.compile(rb"[\x80-\xff]\x00")
+
+
+def _walk_canonical(data: bytes, npost: int
+                    ) -> Optional[tuple[Optional[tuple[int, ...]], int,
+                                        tuple[int, ...]]]:
+    """Check a posting block as :func:`decode_posting_block` does,
+    without building its postings.
+
+    ``data`` is exactly the block.  Raises
+    :class:`~repro.errors.StoreFormatError` on the faults the decode
+    raises on: a truncated varint or one of more than ten bytes, a
+    shared prefix longer than the previous code, too few postings or
+    trailing bytes.
+    Returns ``None`` if the block is not *canonical*, i.e. not what
+    :func:`encode_posting_block` writes for its decoded postings: a
+    varint is longer than it needs to be, or a code is not strictly
+    above the previous one, or shares less of it than it could.
+    Otherwise returns the first code (``None`` for an empty block), the
+    offset of the first posting's frequency and the last code.  Only
+    the current code is kept, and single-byte varints are read inline.
+    """
+    if _NON_MINIMAL_VARINT.search(data) is not None:
+        return None
+    end = len(data)
+    read = _read_varint_at
+    code: list[int] = []
+    first: Optional[tuple[int, ...]] = None
+    frequency_at = position = 0
+    try:
+        for number in range(npost):
+            shared = data[position]
+            if shared < 0x80:
+                position += 1
+            else:
+                shared, position = read(data, position, end)
+            if shared > len(code):
+                raise StoreFormatError(
+                    f"shared prefix {shared} longer than previous code")
+            extra = data[position]
+            if extra < 0x80:
+                position += 1
+            else:
+                extra, position = read(data, position, end)
+            if extra:
+                step = data[position]
+                if step < 0x80:
+                    position += 1
+                else:
+                    step, position = read(data, position, end)
+                if shared < len(code):
+                    # A first new step equal to the previous code's
+                    # would extend the shared prefix; a smaller one
+                    # sorts the code below its predecessor.
+                    if step <= code[shared]:
+                        return None
+                    del code[shared:]
+                code.append(step)
+                for _ in range(extra - 1):
+                    step = data[position]
+                    if step < 0x80:
+                        position += 1
+                    else:
+                        step, position = read(data, position, end)
+                    code.append(step)
+            elif number:  # a prefix of (or equal to) its predecessor
+                return None
+            if not number:
+                first = tuple(code)
+                frequency_at = position
+            if data[position] < 0x80:
+                position += 1
+            else:
+                _, position = read(data, position, end)
+    except IndexError:  # an inline read ran off the block
+        raise StoreFormatError("truncated varint") from None
+    if position != end:
+        raise StoreFormatError("trailing bytes after posting block")
+    return first, frequency_at, tuple(code)
 
 
 # -- subtree deduplication codecs -------------------------------------------
@@ -279,18 +395,10 @@ def encode_subtree_table(groups: Sequence[Sequence[dewey.Code]]) -> bytes:
     write_varint(buffer, len(groups))
     for occurrences in groups:
         write_varint(buffer, len(occurrences))
-        previous: tuple[int, ...] = ()
+        previous: Sequence[int] = ()
         for code in occurrences:
-            shared = 0
-            for a, b in zip(previous, code):
-                if a != b:
-                    break
-                shared += 1
-            write_varint(buffer, shared)
-            write_varint(buffer, len(code) - shared)
-            for step in code[shared:]:
-                write_varint(buffer, step)
-            previous = tuple(code)
+            _write_front_coded(buffer, previous, code)
+            previous = code
     return buffer.getvalue()
 
 
@@ -364,36 +472,34 @@ def decode_dedup_block(buffer, start: int, length: int, npost: int,
     equal the directory's ``npost`` — a mismatch means the table and
     the block disagree, i.e. corruption.
     """
-    end = start + length
-    position = start
-    nsections, position = _read_varint_at(buffer, position, end)
+    data = buffer[start:start + length]
+    end = len(data)
+    nsections, position = _read_varint_at(data, 0, end)
     if nsections * 2 > length:
         raise StoreFormatError(
             f"{nsections} dedup sections cannot fit in {length} bytes")
     expanded: list[Posting] = []
     for _ in range(nsections):
-        group_id, position = _read_varint_at(buffer, position, end)
+        group_id, position = _read_varint_at(data, position, end)
         if group_id >= len(groups):
             raise StoreFormatError(
                 f"dedup section references group {group_id} but the "
                 f"subtree table has {len(groups)} group(s)")
-        nrel, position = _read_varint_at(buffer, position, end)
+        nrel, position = _read_varint_at(data, position, end)
         if nrel * 3 > end - position:
             raise StoreFormatError(
                 f"{nrel} relative postings cannot fit in the dedup block")
-        relative, position = _decode_postings_at(buffer, position, end,
-                                                 nrel)
+        relative, position = _decode_postings(data, position, nrel)
         for prefix in groups[group_id]:
             for posting in relative:
                 expanded.append(Posting(prefix + posting.code,
                                         posting.frequency))
-    nresidual, position = _read_varint_at(buffer, position, end)
+    nresidual, position = _read_varint_at(data, position, end)
     if nresidual * 3 > end - position:
         raise StoreFormatError(
             f"{nresidual} residual postings cannot fit in the dedup "
             "block")
-    residual, position = _decode_postings_at(buffer, position, end,
-                                             nresidual)
+    residual, position = _decode_postings(data, position, nresidual)
     if position != end:
         raise StoreFormatError("trailing bytes after dedup block")
     expanded.extend(residual)
@@ -1310,27 +1416,37 @@ def merge_index(path: PathLike, output: Optional[PathLike] = None,
 
     In place by default (atomic: temp file + ``os.replace``); pass
     ``output`` to write elsewhere and leave the source untouched.
-    Accepts a v1 store too, which upgrades it to v2.  ``dedup=True``
-    re-runs subtree deduplication on the merged postings (a deduped
-    source merges to a plain store otherwise — compaction expands the
-    fan-out and keeps the expanded postings byte-identical).  Holds the
-    store's writer lock throughout, so no append lands in the file the
-    merge replaces.  Returns the bytes written.
+    Accepts a v1 store too, which upgrades it to v2.  The output is
+    byte-identical to :func:`encode_index_v2` of the live postings;
+    most keywords get there by copying their blocks (see
+    :func:`_compacted`).  ``dedup=True`` re-runs subtree deduplication
+    on the merged postings (a deduped source merges to a plain store
+    otherwise — compaction expands the fan-out and keeps the expanded
+    postings byte-identical).  Holds the store's writer lock
+    throughout, so no append lands in the file the merge replaces.
+    Returns the bytes written.
     """
     path = Path(path)
     target = Path(output) if output is not None else path
-    with _locked(path, "rb"):
-        if _probe_magic(path) == MAGIC_V1:
-            index: InvertedIndex = _load_index_v1(path)
-            merged = dict(index.raw_postings())
-            dropped = 1  # one v1 "segment" rewritten
+    with _locked(path, "rb") as file:
+        magic = _probe_magic(path)
+        if magic == MAGIC_V2 and not dedup:
+            with _map(file) as buffer:
+                _, segments = _read_chain(buffer)
+                blob = _compacted(buffer, segments)
+            dropped = len(segments)
         else:
-            with load_index_v2(path, tokenizer) as lazy:
-                merged = {keyword: lazy.raw_postings()[keyword]
-                          for keyword in lazy.raw_postings()}
-                dropped = lazy.segment_count
-        blob = encode_index_v2_dedup(merged) if dedup \
-            else encode_index_v2(merged)
+            if magic == MAGIC_V1:
+                index: InvertedIndex = _load_index_v1(path)
+                merged = dict(index.raw_postings())
+                dropped = 1  # one v1 "segment" rewritten
+            else:
+                with load_index_v2(path, tokenizer) as lazy:
+                    merged = {keyword: lazy.raw_postings()[keyword]
+                              for keyword in lazy.raw_postings()}
+                    dropped = lazy.segment_count
+            blob = encode_index_v2_dedup(merged) if dedup \
+                else encode_index_v2(merged)
         replace_file(target, blob)
     metrics = get_metrics()
     if metrics.enabled:
@@ -1339,6 +1455,79 @@ def merge_index(path: PathLike, output: Optional[PathLike] = None,
     _log.debug("merged %s (%d segment(s)) -> %s (%d bytes)",
                path, dropped, target, len(blob))
     return len(blob)
+
+
+def _compacted(buffer, segments: Sequence[Sequence[Extent]]) -> bytes:
+    """One base holding the live postings of ``segments``.
+
+    Byte-identical to :func:`encode_index_v2` of the decoded postings.
+    A keyword whose live extents are all plain postings blocks, each
+    canonical and each wholly below the next, is joined from its
+    blocks' bytes (:func:`_joined_block`); any other keyword is
+    decoded, merged and encoded again.
+    """
+    live = _live_extents(segments)
+    lazy = _LazyPostings(buffer, live, _segment_tables(segments))
+    out = io.BytesIO()
+    out.write(MAGIC_V2)
+    extents: list[Extent] = []
+    for keyword in sorted(live):
+        joined = _joined_block(buffer, live[keyword])
+        if joined is not None:
+            block, npost = joined
+        else:
+            plist = _merge_decoded([lazy._decode_extent(extent)
+                                    for extent in live[keyword]])
+            block = encode_posting_block(
+                sorted(plist, key=lambda posting: posting.code))
+            npost = len(plist)
+        extents.append(Extent(keyword, False, out.tell(), len(block),
+                              npost))
+        out.write(block)
+    _write_base_directory(out, [extents])
+    return out.getvalue()
+
+
+def _joined_block(buffer, extents: Sequence[Extent]
+                  ) -> Optional[tuple[bytes, int]]:
+    """A keyword's merged block and posting count, from block bytes.
+
+    The merged block is the first non-empty block verbatim, then for
+    each later one its first posting front-coded against the previous
+    block's last code, followed by the rest of that block verbatim.
+    That is what :func:`encode_posting_block` writes for the merged
+    list when every block is canonical and each block's codes all sort
+    below the next block's: no code repeats, so no frequencies sum.
+    ``None`` when that does not hold, or an extent is not a plain
+    postings block.  A block that decoding would reject raises
+    :class:`~repro.errors.StoreFormatError`: here, or in the decode the
+    caller falls back to after a ``None``.
+    """
+    if any(extent.kind != "postings" for extent in extents):
+        return None
+    chunks: list[bytes] = []
+    last: Optional[tuple[int, ...]] = None
+    npost = 0
+    for extent in extents:
+        data = buffer[extent.offset:extent.offset + extent.length]
+        walked = _walk_canonical(data, extent.npost)
+        if walked is None:
+            return None
+        first, frequency_at, final = walked
+        if first is None:  # an empty block adds nothing
+            continue
+        if last is None:
+            chunks.append(data)
+        elif last < first:
+            head = io.BytesIO()
+            _write_front_coded(head, last, first)
+            chunks.append(head.getvalue())
+            chunks.append(data[frequency_at:])
+        else:
+            return None
+        last = final
+        npost += extent.npost
+    return b"".join(chunks), npost
 
 
 def inspect_index(path: PathLike) -> dict:

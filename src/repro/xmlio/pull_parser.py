@@ -45,6 +45,8 @@ class PullParser:
         self._keep_ws = keep_whitespace_text
         self._stack: list[str] = []
         self._seen_root = False
+        # (offset, its line, the offset of the last newline before it)
+        self._line_mark = (0, 1, -1)
 
     # -- public API ---------------------------------------------------------
 
@@ -238,11 +240,24 @@ class PullParser:
     # -- diagnostics ---------------------------------------------------------
 
     def _position(self, pos: int | None = None) -> tuple[int, int]:
+        """1-based line and column of offset ``pos`` (default: the
+        cursor).
+
+        Positions are asked for in document order, so newlines are
+        counted only from the previous position asked for and a whole
+        parse scans the text once.
+        """
         pos = self._pos if pos is None else pos
-        line = self._text.count("\n", 0, pos) + 1
-        last_nl = self._text.rfind("\n", 0, pos)
-        column = pos - last_nl
-        return line, column
+        mark, line, last_nl = self._line_mark
+        if pos < mark:  # behind the mark: count from the start
+            mark, line, last_nl = 0, 1, -1
+        text = self._text
+        line += text.count("\n", mark, pos)
+        found = text.rfind("\n", mark, pos)
+        if found >= 0:
+            last_nl = found
+        self._line_mark = (pos, line, last_nl)
+        return line, pos - last_nl
 
     def _error(self, message: str) -> XMLSyntaxError:
         line, column = self._position()

@@ -182,6 +182,14 @@ class TestParallelSearch:
         parallel = big_corpus.search("(xml john)", workers=3)
         assert _rows(parallel) == _rows(sequential)
 
+    def test_parallel_normalises_mixed_case_keywords(self, big_corpus):
+        # The shards are keyed as the workers look keywords up, so a
+        # query spelled in mixed case finds the same lists both ways.
+        sequential = big_corpus.search("(XML John)")
+        assert sequential
+        assert _rows(big_corpus.search("(XML John)", workers=2)) == \
+            _rows(sequential) == _rows(big_corpus.search("(xml john)"))
+
     def test_parallel_with_list_limit(self, big_corpus):
         # The limit is applied to the corpus-wide list before sharding,
         # so the surviving instances are the same in both modes.
