@@ -208,7 +208,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search_cmd.add_argument("--top-k", type=int, default=None,
                             dest="top_k",
                             help="compute only the first K results of "
-                                 "the size ranking (budgeted search)")
+                                 "the size ranking (one scan, pruned "
+                                 "above the K-th smallest size)")
     search_cmd.add_argument("--max-size", type=int, default=None,
                             dest="max_size",
                             help="only results with LCA size <= N")

@@ -46,8 +46,9 @@ The tables live on flat integers:
 One answer per input is the contract: every entry point — the ranked
 scan with template replay (:func:`evaluate_compiled_flat`), the
 push-style surface the shared-scan batch executor drives
-(:func:`push_evaluation_flat`), the post-order stream and the size
-budget of top-k search — returns the same rows, breakdowns included.
+(:func:`push_evaluation_flat`), the post-order stream and the
+single-pass top-k scan with its running k-th-size bound — returns the
+same rows, breakdowns included.
 Tie-breaking depends only on the order of table writes, so every
 table iterates in an order fixed by the input: each depth's per-term
 tables are allocated for every term id in ascending order, never in
@@ -60,6 +61,7 @@ engine and the brute-force oracle under ``tests/``.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush, heapreplace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.core.lattice import record_lattice_metrics
@@ -108,8 +110,15 @@ class _FlatEvaluation:
         Optional upper bound on LCA sizes.  Partial LCAs above it are
         pruned at once — sizes only grow during propagation and
         combination, so pruning is lossless for the results within the
-        budget (the top-k-size search of Dimitriou, Theodoratos &
-        Sellis, Inf. Syst. 2015).
+        budget.
+    top_k:
+        Return only the first ``top_k`` results of the Def. 3 ranking,
+        in one scan.  The evaluation keeps the ``top_k`` smallest
+        *final* result sizes; once it holds that many, the k-th of
+        them becomes the size budget (or ``size_budget``, if smaller).
+        No result above it can reach the first ``top_k``, and pruning
+        strictly above it keeps ties (the top-k-size search of
+        Dimitriou, Theodoratos & Sellis, Inf. Syst. 2015).
     impenetrability:
         ``False`` disables Def. 2(b)(ii): a term unit completed at a
         node combines there at once, so terms need only be complete,
@@ -121,7 +130,7 @@ class _FlatEvaluation:
     def __init__(self, compiled: CompiledQuery,
                  size_budget: Optional[int] = None,
                  impenetrability: bool = True,
-                 metrics=None):
+                 metrics=None, top_k: Optional[int] = None):
         self.compiled = compiled
         terms = compiled.terms
         mbits = max(term.cardinality for term in terms)
@@ -139,6 +148,15 @@ class _FlatEvaluation:
             for term in terms[1:]]
         self._budget_limit = size_budget if size_budget is not None \
             else _NO_LIMIT
+        if top_k == 0:
+            self._budget_limit = -1  # prunes every partial LCA
+        # Top-k: a max-heap (negated) of the k smallest final sizes.  A
+        # result is final when its node pops, except inside
+        # _build_unit, whose unit-internal results are final when _scan
+        # stores them; the root result stays open until the end.  So
+        # pops outside a unit go through _merge_final in a top-k scan.
+        self._top_k = top_k
+        self._kth: list[int] = []
         self._atoms = {keyword: tuple(slots)
                        for keyword, slots in compiled.atoms.items()}
         # Usage interning: id 0 is NO_USAGE; ids are bijective with
@@ -316,7 +334,8 @@ class _FlatEvaluation:
         lcp = self._lcp(code)
         if depth > lcp:
             self.stat_pops += depth - lcp
-            merge = self._merge_child
+            merge = self._merge_child if self._top_k is None \
+                else self._merge_final
             while depth > lcp:
                 merge(depth)
                 depth -= 1
@@ -441,7 +460,10 @@ class _FlatEvaluation:
         m = len(events)
         cache = self._unit_cache
         feed = self.feed
-        merge_child = self._merge_child
+        if self._top_k is None:
+            merge_child, offer = self._merge_child, None
+        else:
+            merge_child, offer = self._merge_final, self._offer
         merge_into = self._merge_released if self._ablation \
             else self._merge_lifted
         push = self._push
@@ -505,6 +527,12 @@ class _FlatEvaluation:
                     # Unit-internal codes are unique in the stream, so
                     # a plain store equals a compare-and-set.
                     results[u_prefix + rel] = value
+                if offer is not None:
+                    # A template built under a looser bound may hold
+                    # results above the current one; offering them
+                    # leaves the k smallest unchanged.
+                    for _, value in results_rel:
+                        offer(value >> 32)
             if lifted:
                 merge_into(d0, lifted)
             a = next_a
@@ -556,7 +584,8 @@ class _FlatEvaluation:
 
     def _drain_stack(self) -> None:
         depth = self._depth
-        merge = self._merge_child
+        merge = self._merge_child if self._top_k is None \
+            else self._merge_final
         while depth > 0:
             self.stat_pops += 1
             merge(depth)
@@ -568,6 +597,8 @@ class _FlatEvaluation:
         ranked = [Result(code, value >> 32, bd_tuples[value & _LOW32])
                   for code, value in self._results.items()]
         ranked.sort(key=Result.sort_key)
+        if self._top_k is not None:
+            del ranked[self._top_k:]
         return ranked
 
     def _flush(self) -> None:
@@ -692,6 +723,29 @@ class _FlatEvaluation:
             self._merge_released(depth - 1, lifted.items())
         else:
             self._merge_lifted(depth - 1, lifted.items())
+
+    def _merge_final(self, depth: int) -> None:
+        """:meth:`_merge_child` in a top-k scan: the popped node's
+        result, if it has one, is final, so its size is offered."""
+        self._merge_child(depth)
+        code = self._codes[depth]
+        if code is not None:
+            self._offer(self._results[code] >> 32)
+
+    def _offer(self, size: int) -> None:
+        """Count one final result size towards the k smallest; once k
+        are in hand, the k-th of them bounds every later partial LCA."""
+        kth = self._kth
+        if len(kth) < self._top_k:
+            heappush(kth, -size)
+            if len(kth) < self._top_k:
+                return
+        elif size < -kth[0]:
+            heapreplace(kth, -size)
+        else:
+            return
+        if -kth[0] < self._budget_limit:
+            self._budget_limit = -kth[0]
 
     def _lift_entry(self, depth: int) -> dict[int, int]:
         """Lift the entry at ``depth`` for its pop: acc units (minus
@@ -846,33 +900,38 @@ class _FlatEvaluation:
 
 def push_evaluation_flat(compiled: CompiledQuery,
                          size_budget: Optional[int] = None,
-                         impenetrability: bool = True) -> _FlatEvaluation:
+                         impenetrability: bool = True,
+                         top_k: Optional[int] = None) -> _FlatEvaluation:
     """An evaluation an external Dewey-order scan feeds
     (``feed(code, frequencies)`` / ``finish()``) or streams
-    (:meth:`_FlatEvaluation.stream`).  Lattice metrics are recorded
-    here, so a batch run accounts one lattice per query, like
-    sequential runs."""
+    (:meth:`_FlatEvaluation.stream`, without ``top_k``).  Lattice
+    metrics are recorded here, so a batch run accounts one lattice per
+    query, like sequential runs."""
     metrics = get_metrics()
     if not metrics.enabled:
-        return _FlatEvaluation(compiled, size_budget, impenetrability)
+        return _FlatEvaluation(compiled, size_budget, impenetrability,
+                               top_k=top_k)
     metrics.declare(*ENGINE_COUNTERS)
     record_lattice_metrics(compiled.query, metrics)
-    return _FlatEvaluation(compiled, size_budget, impenetrability, metrics)
+    return _FlatEvaluation(compiled, size_budget, impenetrability, metrics,
+                           top_k)
 
 
 def evaluate_compiled_flat(compiled: CompiledQuery,
                            posting_lists: Mapping[str, Sequence[Posting]],
                            size_budget: Optional[int] = None,
-                           impenetrability: bool = True) -> list[Result]:
+                           impenetrability: bool = True,
+                           top_k: Optional[int] = None) -> list[Result]:
     """Run CohesiveLCA on an already-compiled query, ranked (Def. 3).
 
     Parsing and lattice compilation have already happened, so a cached
     :class:`CompiledQuery` (see :mod:`repro.runtime`) goes straight to
     the single Dewey-order scan.  A keyword with no postings means no
-    results: every keyword occurrence must be embedded.
+    results: every keyword occurrence must be embedded.  ``top_k``
+    returns the first ``top_k`` results from that same single scan.
     """
     evaluation = push_evaluation_flat(compiled, size_budget,
-                                      impenetrability)
+                                      impenetrability, top_k)
     lists: dict[str, Sequence[Posting]] = {}
     for keyword in compiled.atoms:
         plist = posting_lists.get(keyword, ())

@@ -52,24 +52,28 @@ def top_size_results(results: Sequence[Result]) -> list[Result]:
 
 
 def term_weights(query: Query, index: InvertedIndex,
-                 list_limit: Optional[int] = None) -> tuple[float, ...]:
+                 list_limit: Optional[int] = None,
+                 answer: Optional[Sequence[Result]] = None
+                 ) -> tuple[float, ...]:
     """The compactness weights ``Ci`` of every term of ``query``.
 
     Each term (including the query itself, term 0) is evaluated standalone
     with CohesiveLCA; ``Ci = |Pi| / (1 + Σ size(p))``.  A term with no
     LCAs in the data gets weight 0 (it can never contribute a partial
-    LCA to any result either).
+    LCA to any result either).  ``answer``, when given, must be the
+    query's complete answer under ``list_limit``; term 0's weight is
+    then computed from it instead of a second evaluation.
     """
     searcher = CohesiveLCA(index)
     weights: list[float] = []
-    for term in query.terms:
-        standalone = term_to_query(term)
-        lcas = searcher.search(standalone, list_limit=list_limit)
-        if not lcas:
-            weights.append(0.0)
+    for term_id, term in enumerate(query.terms):
+        if term_id == 0 and answer is not None:
+            lcas = answer
         else:
-            weights.append(
-                len(lcas) / (1 + sum(result.size for result in lcas)))
+            lcas = searcher.search(term_to_query(term),
+                                   list_limit=list_limit)
+        weights.append(len(lcas) / (1 + sum(result.size for result in lcas))
+                       if lcas else 0.0)
     return tuple(weights)
 
 
@@ -110,11 +114,20 @@ def score_results(results: Sequence[Result],
 
 def rank_results(query: Union[str, Query], index: InvertedIndex,
                  results: Optional[Sequence[Result]] = None,
-                 list_limit: Optional[int] = None) -> list[RankedResult]:
-    """Evaluate (if needed) and rank ``query`` with the §2.2 scheme."""
+                 list_limit: Optional[int] = None,
+                 complete: bool = False) -> list[RankedResult]:
+    """Evaluate (if needed) and rank ``query`` with the §2.2 scheme.
+
+    ``complete=True`` says ``results`` are the query's whole answer
+    under ``list_limit`` — no size bound, no top-k cut, impenetrability
+    on — so the query's own weight comes from them.  Results evaluated
+    here are complete by construction.
+    """
     if isinstance(query, str):
         query = parse_query(query)
     if results is None:
         results = CohesiveLCA(index).search(query, list_limit=list_limit)
-    weights = term_weights(query, index, list_limit=list_limit)
+        complete = True
+    weights = term_weights(query, index, list_limit=list_limit,
+                           answer=results if complete else None)
     return score_results(results, weights)

@@ -3,14 +3,15 @@
 Users rarely want *all* LCAs: Def. 3 ranks by LCA size, so the useful
 prefix of the answer is the results of the k smallest sizes.  Following
 the top-k-size idea of the LCAsz line of work (Dimitriou, Theodoratos &
-Sellis, Inf. Syst. 2015), this module evaluates with a **size budget** —
-the engine prunes every partial LCA whose size already exceeds the
-budget, which is lossless for results within it — and grows the budget
-geometrically until k results (or the exact full answer) are in hand.
+Sellis, Inf. Syst. 2015), the kernel evaluates top-k in one scan with a
+**running size budget**: it keeps the k smallest final result sizes
+seen so far and prunes every partial LCA whose size already exceeds the
+k-th of them.  Sizes only grow as partial LCAs merge upward, so the
+pruning is lossless for the first k results, ties included.
 
-The budget pruning usually pays for the repeated passes many times over:
-on large inputs most partial LCAs belong to results far down the
-ranking.
+On large inputs most partial LCAs belong to results far down the
+ranking, so the bound saves most of the combination work once k small
+results are in hand.
 """
 
 from __future__ import annotations
@@ -23,23 +24,16 @@ from repro.index.inverted import InvertedIndex
 
 
 def search_top_k(query: Union[str, Query], index: InvertedIndex, k: int,
-                 list_limit: Optional[int] = None,
-                 initial_budget: Optional[int] = None) -> list[Result]:
-    """The first ``k`` results of the Def. 3 ranking.
-
-    Evaluates with a growing size budget.  An upper bound on any LCA size
-    is (number of keyword occurrences) × (maximum instance depth); once
-    the budget reaches it the answer is complete, so the function always
-    terminates with the exact prefix.
+                 list_limit: Optional[int] = None) -> list[Result]:
+    """The first ``k`` results of the Def. 3 ranking, from one scan.
 
     Thin wrapper over :meth:`repro.runtime.SearchSession.search` with
     ``top_k`` — a long-lived session additionally amortizes the plan
-    and posting lookups across the budget-growing passes.
+    and posting lookups across queries.
     """
     from repro.runtime import SearchSession
     return SearchSession(index).search(query, top_k=k,
-                                       list_limit=list_limit,
-                                       initial_budget=initial_budget)
+                                       list_limit=list_limit)
 
 
 def search_within_size(query: Union[str, Query], index: InvertedIndex,

@@ -189,7 +189,8 @@ def ranking_comparison(dataset: GeneratedDataset,
         results = searcher.search(query_text)
         size_order = [result.code for result in results]
         vector_order = [item.code for item in
-                        rank_results(query_text, index, results=results)]
+                        rank_results(query_text, index, results=results,
+                                     complete=True)]
         skyline_order = [result.code
                          for layer in skyline_layers(results)
                          for result in layer]

@@ -1410,7 +1410,6 @@ def _append(path: PathLike, postings: Mapping[str, Sequence[Posting]],
 
 
 def merge_index(path: PathLike, output: Optional[PathLike] = None,
-                tokenizer: Optional[Tokenizer] = None,
                 dedup: bool = False) -> int:
     """Compact a store to a single-segment CKSIDX2 file.
 
@@ -1441,7 +1440,7 @@ def merge_index(path: PathLike, output: Optional[PathLike] = None,
                 merged = dict(index.raw_postings())
                 dropped = 1  # one v1 "segment" rewritten
             else:
-                with load_index_v2(path, tokenizer) as lazy:
+                with load_index_v2(path) as lazy:
                     merged = {keyword: lazy.raw_postings()[keyword]
                               for keyword in lazy.raw_postings()}
                     dropped = lazy.segment_count

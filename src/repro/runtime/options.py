@@ -41,15 +41,12 @@ class SearchOptions:
     rank:
         One of :data:`RANK_MODES` (``cohesive`` algorithm only).
     top_k:
-        Budgeted top-k-size search: return only the first ``k``
-        results of the Def. 3 ranking, evaluated with a growing size
-        budget (``cohesive`` only).
+        Top-k-size search: return only the first ``k`` results of the
+        Def. 3 ranking, from one scan that prunes above the k-th
+        smallest result size found so far (``cohesive`` only).
     max_size:
         Only results of LCA size ≤ ``max_size`` (``cohesive`` only;
         prunes during the scan, lossless within the bound).
-    initial_budget:
-        Starting size budget of the top-k loop (defaults to the
-        deepest instance's depth; only meaningful with ``top_k``).
     list_limit:
         Truncate every inverted list to its first ``list_limit``
         postings (the paper's §4.3 device).  Applied by slicing the
@@ -62,7 +59,6 @@ class SearchOptions:
     rank: str = "size"
     top_k: Optional[int] = None
     max_size: Optional[int] = None
-    initial_budget: Optional[int] = None
     list_limit: Optional[int] = None
     impenetrability: bool = True
 
@@ -88,8 +84,6 @@ class SearchOptions:
                     "impenetrability=False requires algorithm='cohesive'")
         if self.top_k is not None and self.top_k < 0:
             raise OptionsError("top_k must be >= 0")
-        if self.initial_budget is not None and self.initial_budget < 1:
-            raise OptionsError("initial_budget must be >= 1")
         if self.max_size is not None and self.max_size < 0:
             raise OptionsError("max_size must be >= 0")
         if self.list_limit is not None and self.list_limit < 0:

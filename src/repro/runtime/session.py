@@ -328,7 +328,7 @@ class SearchSession:
 
             session.search(q)                         # CohesiveLCA, Def. 3
             session.search(q, algorithm="slca")       # a flat baseline
-            session.search(q, top_k=10)               # budgeted top-k
+            session.search(q, top_k=10)               # one-scan top-k
             session.search(q, rank="skyline")         # §6 semantics
 
         Returns :class:`~repro.core.results.Result` rows for every
@@ -948,35 +948,10 @@ class SearchSession:
             if metrics.enabled:  # the catalogue still shows zeros
                 metrics.declare(*ENGINE_COUNTERS)
             return []
-        if options.top_k is not None:
-            results = self._top_k(plan, lists, options)
-        else:
-            results = evaluate_compiled_flat(
-                plan.compiled, lists, size_budget=options.max_size,
-                impenetrability=options.impenetrability)
+        results = evaluate_compiled_flat(
+            plan.compiled, lists, size_budget=options.max_size,
+            impenetrability=options.impenetrability, top_k=options.top_k)
         return self._apply_rank(plan, results, options, state)
-
-    def _top_k(self, plan: CompiledPlan,
-               lists: dict[str, tuple[Posting, ...]],
-               options: SearchOptions) -> list[Result]:
-        """The growing-size-budget loop of top-k-size search, run on
-        the cached plan and posting slices (cf. repro.core.topk)."""
-        k = options.top_k or 0
-        if k <= 0:
-            return []
-        depth = max((len(posting.code)
-                     for plist in lists.values() for posting in plist),
-                    default=0)
-        ceiling = max(1, depth * plan.query.keyword_count)
-        budget = options.initial_budget \
-            if options.initial_budget is not None else max(1, depth)
-        while True:
-            results = evaluate_compiled_flat(
-                plan.compiled, lists, size_budget=budget,
-                impenetrability=options.impenetrability)
-            if len(results) >= k or budget >= ceiling:
-                return results[:k]
-            budget = min(ceiling, budget * 2)
 
     def _apply_rank(self, plan: CompiledPlan, results: list[Result],
                     options: SearchOptions,
@@ -985,8 +960,13 @@ class SearchSession:
             state = self._state
         if options.rank == "vector":
             from repro.core.ranking import rank_results
+            # Unbounded, untruncated and impenetrable, the results are
+            # the query's whole answer: term 0's weight comes from them.
+            complete = options.top_k is None \
+                and options.max_size is None and options.impenetrability
             return rank_results(plan.query, state.index, results=results,
-                                list_limit=options.list_limit)
+                                list_limit=options.list_limit,
+                                complete=complete)
         if options.rank == "skyline":
             from repro.core.skyline import skyline
             return skyline(results)

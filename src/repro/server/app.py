@@ -709,7 +709,7 @@ def _parse_explain(params: dict):
             raise WireError("timeout_seconds must be a positive number")
     converted: dict = {}
     for key, value in params.items():
-        if key in ("top_k", "max_size", "initial_budget", "list_limit"):
+        if key in ("top_k", "max_size", "list_limit"):
             try:
                 converted[key] = int(value)
             except ValueError as error:

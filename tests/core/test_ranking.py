@@ -12,6 +12,7 @@ from repro.core.ranking import (RankedResult, rank_by_size, rank_results,
 from repro.core.parser import parse_query
 from repro.core.results import Result
 from repro.index.inverted import InvertedIndex
+from repro.runtime import SearchSession
 from repro.tree.builder import build_tree
 from tests.conftest import Q1
 
@@ -94,3 +95,38 @@ class TestVectorScoring:
         ranked = rank_results(Q1, figure1_index, results=results)
         assert [r.code for r in ranked] == \
             [r.code for r in rank_results(Q1, figure1_index)]
+
+
+class TestVectorWeightSource:
+    """Term 0's weight comes from the answer in hand only when that
+    answer is complete; a cut or bounded answer keeps the standalone
+    evaluation."""
+
+    #: Each option below drops or adds a result of this query on
+    #: Figure 1 (the ablation admits the second article).
+    QUERY = "((Paul Cooper) (Mary Davis))"
+
+    def test_complete_answer_gives_the_standalone_weight(self,
+                                                         figure1_index):
+        query = parse_query(Q1)
+        full = evaluate(query, figure1_index)
+        assert term_weights(query, figure1_index, answer=full) == \
+            term_weights(query, figure1_index)
+        assert rank_results(query, figure1_index, results=full,
+                            complete=True) == \
+            rank_results(query, figure1_index, results=full)
+
+    @pytest.mark.parametrize("options", [
+        {"top_k": 1}, {"max_size": 3}, {"impenetrability": False},
+    ])
+    def test_partial_answer_keeps_the_standalone_weight(self, options,
+                                                        figure1_index):
+        session = SearchSession(figure1_index)
+        query = parse_query(self.QUERY)
+        partial = session.search(query, **options)
+        weights = term_weights(query, figure1_index)
+        # The guard: weighting by the partial answer would differ.
+        assert term_weights(query, figure1_index,
+                            answer=partial)[0] != weights[0]
+        ranked = session.search(query, rank="vector", **options)
+        assert ranked == score_results(partial, weights)

@@ -52,7 +52,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("top_k", -1), ("max_size", -2), ("list_limit", -3),
-        ("initial_budget", 0),
     ])
     def test_negative_knobs_rejected(self, field, value):
         with pytest.raises(OptionsError):

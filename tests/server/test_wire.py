@@ -22,7 +22,6 @@ def options_strategy():
         rank=st.sampled_from(["size", "vector", "skyline"]),
         top_k=st.none() | st.integers(0, 50),
         max_size=st.none() | st.integers(0, 50),
-        initial_budget=st.none() | st.integers(1, 50),
         list_limit=st.none() | st.integers(0, 50),
         impenetrability=st.booleans())
     others = st.builds(
