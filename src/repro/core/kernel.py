@@ -23,13 +23,19 @@ lists; per instance, O(depth) stack work; per merge, a number of
 combinations bounded by the number of admissible signatures —
 exponential only in the maximum term cardinality.
 
-The tables live on flat integers:
+The tables live on small ints and interned ids:
 
-* **Packed keys.**  A table key is one int,
-  ``((mask << 40) | usage_id) << 1 | pure``, in a per-term table.
-* **Packed values.**  A table value is ``(size << 32) | breakdown_id``.
-  Comparisons always use ``value >> 32`` explicitly: the first write
-  of the minimum size wins a slot, whatever its breakdown.
+* **Small-int keys.**  A key of a per-term table is one int,
+  ``mask | pure << mbits | usage_id << (mbits + 1)``, where ``mbits``
+  is the query's maximum term cardinality.  An entry a merge inserts
+  (usage id 0, not pure) is keyed by its member mask alone, so the
+  join's bit tests and unions run on one-digit ints (below ``2**30``),
+  which CPython handles faster than the multi-digit ints a fixed-width
+  packing needs.
+* **Tuple values.**  A table value is ``(size, breakdown_id)``, in the
+  per-term tables, the ``fresh`` tables, lifted entries, templates
+  and results alike.  Comparisons read ``value[0]`` only: the first
+  write of the minimum size wins a slot, whatever its breakdown.
 * **Interned breakdowns.**  Per-term size vectors are interned to small
   ids; ``merge_breakdowns`` and term completion become memo lookups
   keyed by packed id pairs, and merges on the child-propagation path
@@ -72,14 +78,7 @@ from repro.obs import get_logger, get_metrics
 
 _log = get_logger("core.kernel")
 
-#: Bits reserved for the usage id inside a packed key.
-_UBITS = 40
-_UID_FIELD = ((1 << _UBITS) - 1) << 1   # usage id, in place, pure bit clear
-_SIG_SHIFT = _UBITS + 1                 # key >> _SIG_SHIFT == signature
-_ONE = 1 << 32                          # +1 on the size half of a value
-_LOW32 = (1 << 32) - 1                  # breakdown-id half of a value
 _NO_LIMIT = 1 << 62                     # sentinel for "no size budget"
-_UMASK = (1 << _UBITS) - 1              # usage id extracted from key >> 1
 
 #: Counter catalogue of one evaluation (see docs/OBSERVABILITY.md).
 #: Declared up front so reports show explicit zeros even when a run
@@ -97,7 +96,7 @@ ENGINE_COUNTERS = (
 
 
 class _FlatEvaluation:
-    """One run of CohesiveLCA over packed-integer tables.
+    """One run of CohesiveLCA over small-int-keyed tables.
 
     Three ways to drive it, one answer: :meth:`run_lists` scans whole
     posting lists with subtree-template replay, :meth:`feed` /
@@ -175,11 +174,12 @@ class _FlatEvaluation:
         self._bd_merge: dict[int, int] = {}
         self._bd_complete: dict[int, int] = {}
         self._cshift = compiled.term_count.bit_length()
-        # Closure-queue packing: (term << _qshift) | termless key.
-        self._qshift = mbits + 42
+        # Key layout: mask | pure << mbits | usage_id << (mbits + 1).
+        self._pure = 1 << mbits
+        self._ushift = mbits + 1
         # Path stack, root at depth 0.  Each acc is a list of per-term
-        # packed-key tables indexed by term id (combination only ever
-        # pairs entries of one term, so keys drop their term bits).
+        # tables indexed by term id (combination only ever pairs
+        # entries of one term, so keys drop their term bits).
         # Every term's table exists from allocation on, so tables lift
         # in ascending term order whatever nodes used the depth before:
         # the order fresh units are embargoed in, and with it which of
@@ -187,13 +187,13 @@ class _FlatEvaluation:
         # of the node's subtree alone.
         self._path: list[int] = []
         self._depth = 0
-        self._accs: list[list[dict[int, int]]] = [self._new_acc()]
-        self._freshes: list[dict[int, int]] = [{}]
+        self._accs: list[list[dict[int, tuple]]] = [self._new_acc()]
+        self._freshes: list[dict[int, tuple]] = [{}]
         self._codes: list = [()]
         # Subtree-unit templates, keyed by the unit's relative shape
         # (codes below the unit ancestor plus frequency signatures).
         self._unit_cache: dict = {}
-        self._results: dict[tuple, int] = {}
+        self._results: dict[tuple, tuple[int, int]] = {}
         # Lifted entries merge through the ablation's release fixpoint
         # only when Def. 2(b)(ii) is off.
         self._ablation = not impenetrability
@@ -283,7 +283,7 @@ class _FlatEvaluation:
 
     # -- path stack ----------------------------------------------------------
 
-    def _new_acc(self) -> list[dict[int, int]]:
+    def _new_acc(self) -> list[dict[int, tuple]]:
         return [{} for _ in range(self._term_count)]
 
     def _code_at(self, depth: int) -> tuple:
@@ -378,7 +378,7 @@ class _FlatEvaluation:
         value = self._results.get(())
         if value is not None:
             self.stat_results += 1
-            yield Result((), value >> 32, self._bd_tuples[value & _LOW32])
+            yield Result((), value[0], self._bd_tuples[value[1]])
         self._flush()
 
     def _pop(self) -> Optional[Result]:
@@ -391,9 +391,9 @@ class _FlatEvaluation:
         code = self._codes[depth]
         if code is None:
             return None
-        value = self._results[code]
+        size, bd = self._results[code]
         self.stat_results += 1
-        return Result(code, value >> 32, self._bd_tuples[value & _LOW32])
+        return Result(code, size, self._bd_tuples[bd])
 
     def run_lists(self, posting_lists: Mapping[str, Sequence[Posting]]
                   ) -> list[Result]:
@@ -532,7 +532,7 @@ class _FlatEvaluation:
                     # results above the current one; offering them
                     # leaves the k smallest unchanged.
                     for _, value in results_rel:
-                        offer(value >> 32)
+                        offer(value[0])
             if lifted:
                 merge_into(d0, lifted)
             a = next_a
@@ -594,8 +594,8 @@ class _FlatEvaluation:
 
     def _ranked(self) -> list[Result]:
         bd_tuples = self._bd_tuples
-        ranked = [Result(code, value >> 32, bd_tuples[value & _LOW32])
-                  for code, value in self._results.items()]
+        ranked = [Result(code, size, bd_tuples[bd])
+                  for code, (size, bd) in self._results.items()]
         ranked.sort(key=Result.sort_key)
         if self._top_k is not None:
             del ranked[self._top_k:]
@@ -632,7 +632,7 @@ class _FlatEvaluation:
         atoms = self._atoms
         kw_uid = self._kw_uid
         insert_pure = self._insert_pure
-        queue: deque[int] = deque()
+        queue: deque[tuple[int, int]] = deque()
         for keyword in frequencies:
             uid = kw_uid[keyword]
             for term, bit in atoms[keyword]:
@@ -640,39 +640,33 @@ class _FlatEvaluation:
         if not queue:
             return
         budget = frequencies
-        qshift = self._qshift
-        qmask = (1 << qshift) - 1
+        mmask = self._mmask
+        pure = self._pure
+        ushift = self._ushift
         budget_limit = self._budget_limit
         merge_uid = self._merge_uid
         merge_bd = self._merge_bd
         popleft = queue.popleft
         while queue:
-            qitem = popleft()
-            term = qitem >> qshift
-            key = qitem & qmask
+            term, key = popleft()
             sub = acc[term]
             value = sub.get(key)
             if value is None:
                 continue
-            size = value >> 32
-            bd = value & _LOW32
-            mask = key >> _SIG_SHIFT
-            uid = (key >> 1) & _UMASK
-            partners = [
-                (k, v) for k, v in sub.items()
-                if (k & 1) and not ((k >> _SIG_SHIFT) & mask)
-            ]
-            for key2, value2 in partners:
-                uid2 = (key2 >> 1) & _UMASK
-                merged = merge_uid(uid, uid2)
+            size, bd = value
+            mask = key & mmask
+            uid = key >> ushift
+            partners = [(k, v) for k, v in sub.items()
+                        if k & pure and not k & mask]
+            for key2, (size2, bd2) in partners:
+                merged = merge_uid(uid, key2 >> ushift)
                 if merged and not self._uid_fits(merged, budget):
                     continue
-                combined = size + (value2 >> 32)
+                combined = size + size2
                 if combined > budget_limit:
                     continue
-                insert_pure(depth, term,
-                            mask | (key2 >> _SIG_SHIFT), merged,
-                            combined, merge_bd(bd, value2 & _LOW32), queue)
+                insert_pure(depth, term, mask | (key2 & mmask), merged,
+                            combined, merge_bd(bd, bd2), queue)
 
     def _insert_pure(self, depth: int, term: int, mask: int, uid: int,
                      size: int, bd: int, queue: deque) -> None:
@@ -687,20 +681,20 @@ class _FlatEvaluation:
                 code = self._code_at(depth)
                 results = self._results
                 current = results.get(code)
-                if current is None or size < (current >> 32):
-                    results[code] = (size << 32) | bd
+                if current is None or size < current[0]:
+                    results[code] = (size, bd)
                 return
             self._insert_pure(depth, self._parent_ids[term],
                               self._parent_bits[term], uid, size, bd,
                               queue)
             return
-        key = ((mask << _UBITS) | uid) << 1 | 1
+        key = mask | self._pure | uid << self._ushift
         sub = self._accs[depth][term]
         current = sub.get(key)
-        if current is None or size < (current >> 32):
-            sub[key] = (size << 32) | bd
+        if current is None or size < current[0]:
+            sub[key] = (size, bd)
             self.stat_allocations += 1
-            queue.append((term << self._qshift) | key)
+            queue.append((term, key))
 
     # -- child propagation ---------------------------------------------------
 
@@ -730,7 +724,7 @@ class _FlatEvaluation:
         self._merge_child(depth)
         code = self._codes[depth]
         if code is not None:
-            self._offer(self._results[code] >> 32)
+            self._offer(self._results[code][0])
 
     def _offer(self, size: int) -> None:
         """Count one final result size towards the k smallest; once k
@@ -747,7 +741,7 @@ class _FlatEvaluation:
         if -kth[0] < self._budget_limit:
             self._budget_limit = -kth[0]
 
-    def _lift_entry(self, depth: int) -> dict[int, int]:
+    def _lift_entry(self, depth: int) -> dict[int, tuple]:
         """Lift the entry at ``depth`` for its pop: acc units (minus
         complete root results) and fresh units, one level deeper, kept
         at the minimum size per signature."""
@@ -755,33 +749,31 @@ class _FlatEvaluation:
         fresh = self._freshes[depth]
         root_full = self._root_full
         mbits = self._mbits
-        lifted: dict[int, int] = {}
+        mmask = self._mmask
+        lifted: dict[int, tuple] = {}
         for term, sub in enumerate(acc):
             if not sub:
                 continue
             tbase = term << mbits
             if term:
-                for key, value in sub.items():
-                    sig = tbase | (key >> _SIG_SHIFT)
+                for key, (size, bd) in sub.items():
+                    sig = tbase | (key & mmask)
                     current = lifted.get(sig)
-                    if current is None or \
-                            (value >> 32) + 1 < (current >> 32):
-                        lifted[sig] = value + _ONE
+                    if current is None or size + 1 < current[0]:
+                        lifted[sig] = (size + 1, bd)
             else:
-                for key, value in sub.items():
-                    sig = key >> _SIG_SHIFT
+                for key, (size, bd) in sub.items():
+                    sig = key & mmask
                     if sig == root_full:
                         continue  # complete results never recombine
                     current = lifted.get(sig)
-                    if current is None or \
-                            (value >> 32) + 1 < (current >> 32):
-                        lifted[sig] = value + _ONE
+                    if current is None or size + 1 < current[0]:
+                        lifted[sig] = (size + 1, bd)
         if fresh:
-            for sig, value in fresh.items():
+            for sig, (size, bd) in fresh.items():
                 current = lifted.get(sig)
-                if current is None or \
-                        (value >> 32) + 1 < (current >> 32):
-                    lifted[sig] = value + _ONE
+                if current is None or size + 1 < current[0]:
+                    lifted[sig] = (size + 1, bd)
         return lifted
 
     def _merge_released(self, pdepth: int, lifted_items) -> None:
@@ -798,15 +790,13 @@ class _FlatEvaluation:
         while True:
             pending = [(sig, value) for sig, value in fresh.items()
                        if sig not in released
-                       or released[sig] >> 32 != value >> 32]
+                       or released[sig][0] != value[0]]
             if not pending:
                 return
             released.update(pending)
             self._merge_lifted(pdepth, pending, snaps)
 
-    def _merge_lifted(self, pdepth: int, lifted_items, snaps=None,
-                      _shift=_SIG_SHIFT, _ubits=_UBITS,
-                      _low=_LOW32, _ufield=_UID_FIELD) -> None:
+    def _merge_lifted(self, pdepth: int, lifted_items, snaps=None) -> None:
         """Insert lifted ``(sig, value)`` pairs into the entry at
         ``pdepth``, alone and in combination with that entry's table
         as it stood before the pop.
@@ -821,6 +811,7 @@ class _FlatEvaluation:
         pfresh = self._freshes[pdepth]
         mbits = self._mbits
         mmask = self._mmask
+        unpure = ~self._pure
         full_masks = self._full_masks
         budget_limit = self._budget_limit
         merge_bd = self._merge_bd
@@ -847,35 +838,32 @@ class _FlatEvaluation:
                 snap = list(sub.items()) if sub else ()
             sub_get = sub.get
             for mask, value in items:
-                size = value >> 32
-                bd = value & _low
+                size, bd = value
                 if size <= budget_limit:
                     if mask == full:
                         complete(pdepth, term, size, bd, pfresh)
                     else:
-                        # usage id 0, pure bit clear
-                        key = (mask << _ubits) << 1
-                        current = sub_get(key)
-                        if current is None or size < (current >> 32):
-                            sub[key] = (size << 32) | bd
+                        # usage id 0, not pure: the key is the mask
+                        current = sub_get(mask)
+                        if current is None or size < current[0]:
+                            sub[mask] = value
                             allocations += 1
+                rest = full ^ mask
                 for key2, value2 in snap:
-                    mask2 = key2 >> _shift
-                    if mask & mask2:
+                    if key2 & mask:
                         continue
-                    combined = size + (value2 >> 32)
+                    combined = size + value2[0]
                     if combined > budget_limit:
                         continue
-                    union = mask | mask2
-                    if union == full:
+                    if key2 & mmask == rest:
                         complete(pdepth, term, combined,
-                                 merge_bd(bd, value2 & _low), pfresh)
+                                 merge_bd(bd, value2[1]), pfresh)
                         continue
-                    key3 = ((union << _ubits) << 1) | (key2 & _ufield)
+                    # union of the masks, partner's usage id, not pure
+                    key3 = (key2 | mask) & unpure
                     current = sub_get(key3)
-                    if current is None or combined < (current >> 32):
-                        sub[key3] = (combined << 32) | \
-                            merge_bd(bd, value2 & _low)
+                    if current is None or combined < current[0]:
+                        sub[key3] = (combined, merge_bd(bd, value2[1]))
                         allocations += 1
         self.stat_allocations += allocations
 
@@ -888,13 +876,13 @@ class _FlatEvaluation:
             code = self._code_at(depth)
             results = self._results
             current = results.get(code)
-            if current is None or size < (current >> 32):
-                results[code] = (size << 32) | bd
+            if current is None or size < current[0]:
+                results[code] = (size, bd)
             return
         sig = self._parent_sigs[term]
         current = fresh.get(sig)
-        if current is None or size < (current >> 32):
-            fresh[sig] = (size << 32) | bd
+        if current is None or size < current[0]:
+            fresh[sig] = (size, bd)
             self.stat_allocations += 1
 
 

@@ -3,11 +3,14 @@
 The differential-oracle and entry-point parity suites cover the random
 bulk; this file pins the corners that random trees rarely hit —
 single-node documents, empty-result queries, keywords whose postings
-arrive from several store segments, and store-side list limits.  Each
-is asserted against the reference engine on ``(code, size)`` and, over
-stores, against the kernel on materialized lists with full Result
-equality.
+arrive from several store segments, store-side list limits, and the
+corners of the kernel's table keys (member masks wider than ten bits,
+pure entries and non-zero usage ids meeting lifted entries).  Each is
+asserted against the reference engine on ``(code, size)`` and, over
+stores or across entry points, on full Result equality.
 """
+
+import random
 
 import pytest
 
@@ -146,3 +149,119 @@ class TestMultiBlockPostings:
         append_segment(path, InvertedIndex({"a": [Posting((9,), 2)]}))
         with load_index_v2(path) as lazy:
             assert _store_matches_lists(lazy, "(a b)")
+
+
+# -- table-key corners -------------------------------------------------------
+
+def _random_index(keywords, seed):
+    """A seeded three-level tree whose every node, internal nodes too,
+    holds up to two keywords at frequency 1-3."""
+    rng = random.Random(seed)
+    lists: dict[str, list] = {}
+    level = [()]
+    for _ in range(3):
+        level = [code + (step,) for code in level for step in range(3)]
+        for code in level:
+            for keyword in rng.sample(keywords, rng.randint(0, 2)):
+                lists.setdefault(keyword, [])
+                lists[keyword].append(Posting(code, rng.randint(1, 3)))
+    return InvertedIndex({keyword: sorted(plist)
+                          for keyword, plist in lists.items()})
+
+
+def _wide_index(seed):
+    """Subtree ``(0,)`` holds every keyword of ``WIDE`` once and subtree
+    ``(1,)`` four of them, at seeded internal and leaf nodes; ``w9``
+    and ``w10`` always share a node.  (A second complete subtree would
+    make the root join two tables of 2**12 masks: seconds per query.)"""
+    rng = random.Random(seed)
+    groups = [[keyword] for keyword in WIDE[:9]] + [WIDE[9:11], WIDE[11:]]
+    lists: dict[str, list] = {}
+    for top, count in ((0, len(groups)), (1, 4)):
+        nodes = [(top, mid) for mid in range(2)] + \
+            [(top, mid, leaf) for mid in range(2) for leaf in range(2)]
+        for group in rng.sample(groups, count):
+            code = rng.choice(nodes)
+            for keyword in group:
+                lists.setdefault(keyword, []).append(Posting(code, 1))
+    return InvertedIndex({keyword: sorted(plist)
+                          for keyword, plist in lists.items()})
+
+
+def _checked(index, text, **options):
+    """``search``, after checking it against ``search_batch``, the
+    sorted ``stream`` (full rows) and the reference engine (``(code,
+    size)``)."""
+    session = SearchSession(index)
+    searched = session.search(text, **options)
+    assert session.search_batch([text], **options) == [searched]
+    assert sorted(session.stream(text, **options),
+                  key=Result.sort_key) == searched
+    compiled = compile_query(parse_query(text), index.tokenizer.normalize)
+    lists = {kw: index.postings(kw) for kw in compiled.atoms}
+    assert _pairs(searched) == _pairs(evaluate_compiled(compiled, lists,
+                                                        **options))
+    return searched
+
+
+WIDE = [f"w{number}" for number in range(12)]
+#: 11 root members: nine keywords, the term (w9 w10) and w11.
+WIDE_NESTED = f"({' '.join(WIDE[:9])} ({WIDE[9]} {WIDE[10]}) {WIDE[11]})"
+
+
+class TestWideMasks:
+    """Terms of 11 and 12 members: member masks reach bits 10 and 11,
+    so the pure flag and the usage id sit above them in a key."""
+
+    @pytest.mark.parametrize("seed", range(3, 9))
+    @pytest.mark.parametrize("impenetrability", [True, False])
+    def test_twelve_member_term(self, seed, impenetrability):
+        results = _checked(_wide_index(seed), f"({' '.join(WIDE)})",
+                           impenetrability=impenetrability)
+        assert [row.code for row in results][-1] == ()
+
+    @pytest.mark.parametrize("seed", range(3, 9))
+    @pytest.mark.parametrize("impenetrability", [True, False])
+    def test_eleven_member_root_with_subterm(self, seed, impenetrability):
+        assert parse_query(WIDE_NESTED).max_term_cardinality == 11
+        results = _checked(_wide_index(seed), WIDE_NESTED,
+                           impenetrability=impenetrability)
+        assert results
+
+    def test_all_member_bits_meet_at_one_parent(self):
+        # Every keyword on its own leaf under one parent: the answer
+        # needs the union of all twelve member bits at the parent.
+        index = InvertedIndex({
+            keyword: [Posting((0, number), 1)]
+            for number, keyword in enumerate(WIDE)})
+        results = _checked(index, f"({' '.join(WIDE)})")
+        assert _pairs(results) == [((0,), 12)]
+
+
+class TestUsageIdsMeetLiftedEntries:
+    """Repeated keywords on internal nodes: the node's own instances
+    make pure entries with non-zero usage ids, which the join combines
+    with the entries its children lift."""
+
+    KEYWORDS = ["a", "b", "c"]
+    QUERIES = ["((a b) (a c) a)", "(a a b)", "((a a) (b c) a)",
+               "(a (a b) (a c))"]
+
+    @pytest.mark.parametrize("text", QUERIES)
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("impenetrability", [True, False])
+    def test_repeated_keywords(self, text, seed, impenetrability):
+        index = _random_index(self.KEYWORDS, seed)
+        _checked(index, text, impenetrability=impenetrability)
+
+    def test_internal_node_budget(self):
+        # (0,) holds "a" twice itself, so "(a a b)" needs only one more
+        # instance of "b" below it; (1,) holds "a" once and cannot.
+        index = InvertedIndex({
+            "a": [Posting((0,), 2), Posting((0, 1), 1), Posting((1,), 1),
+                  Posting((1, 0), 1)],
+            "b": [Posting((0, 0), 1), Posting((1, 1), 1)],
+        })
+        results = _checked(index, "(a a b)")
+        assert ((0,), 1) in _pairs(results)
+        assert ((1,), 2) in _pairs(results)

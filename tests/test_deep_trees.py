@@ -62,8 +62,8 @@ def test_baseline_survives(deep_tree):
 
 
 def test_flat_kernel_survives_and_matches(deep_tree):
-    """Max-depth Dewey codes through the kernel: the packed-key path
-    and its subtree-template cache must handle ~5000-component codes,
+    """Max-depth Dewey codes through the kernel: the ranked scan and
+    its subtree-template cache must handle ~5000-component codes,
     answer like the push path, and match the reference engine."""
     from repro.core.kernel import evaluate_compiled_flat
     from repro.core.parser import parse_query
